@@ -2,12 +2,13 @@
 """CI gate: service crash recovery over real HTTP, kill -9 included.
 
 Boots the supervised simulation service on a throwaway data directory,
-submits an Exp 6-shaped workload over HTTP, SIGKILLs the worker process
-mid-run, and demands:
+submits an Exp 6-shaped workload over HTTP, records the state's
+fingerprint (``POST /fingerprint``), SIGKILLs the worker process mid-run,
+and demands:
 
-1. **Recovery** — the supervisor restarts the worker, which resumes
-   from its latest verified snapshot and replays the submission log;
-   the service keeps accepting submissions afterwards.
+1. **Recovery** — the supervisor restarts the worker, which replays the
+   submission log and verifies the recorded fingerprint against the
+   replayed state; it comes up healthy and keeps accepting submissions.
 2. **No lost work** — every acknowledged submission completes (100%
    job completion in the drain summary).
 3. **Byte-identical results** — the drained canonical result JSON
@@ -21,8 +22,8 @@ Usage::
     PYTHONPATH=src python benchmarks/check_service_recovery.py \
         [--data-dir DIR] [--jobs N]
 
-``--data-dir`` keeps the submission log and snapshots around (CI
-uploads them as artifacts on failure); the default is a temp dir.
+``--data-dir`` keeps the submission log around (CI uploads it as an
+artifact on failure); the default is a temp dir.
 Exit status 0 when every check passes, 1 on any violation.
 """
 
@@ -82,7 +83,7 @@ def main() -> int:
         canonical_result,
         replay_result,
     )
-    from repro.snapshot import SimRecipe, SnapshotPlan
+    from repro.snapshot import SimRecipe
     from repro.units import MB
 
     if args.data_dir:
@@ -98,7 +99,6 @@ def main() -> int:
     supervisor = Supervisor(
         ServiceConfig(
             data_dir=data_dir, recipe=recipe, port=0,
-            snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
             queue_capacity=32,
         ),
         max_restarts=3, backoff=0.05,
@@ -123,6 +123,13 @@ def main() -> int:
 
         wait_until(lambda: http_json(
             "GET", f"{base}/metrics")[1]["sim"]["now"] > 1.0)
+        status, recorded = http_json("POST", f"{base}/fingerprint")
+        if status != 200:
+            print(f"FAIL: fingerprint -> {status}: {recorded}",
+                  file=sys.stderr)
+            return 1
+        print(f"recorded fingerprint {recorded['fingerprint'][:16]}... "
+              f"at t={recorded['t']:.3f} (seq {recorded['seq']})")
         killed = supervisor.kill_worker()
         print(f"killed worker pid {killed} with SIGKILL")
 
@@ -141,6 +148,13 @@ def main() -> int:
         base = f"http://127.0.0.1:{port}"
         print(f"worker restarted (pid {supervisor.pid}, "
               f"restarts {supervisor.restarts})")
+        counters = http_json("GET", f"{base}/metrics")[1]["service"]
+        verified = counters.get("service.fingerprints_verified", {}).get("")
+        if verified != 1:
+            print(f"FAIL: the restarted worker verified {verified} "
+                  "recorded fingerprints, expected 1", file=sys.stderr)
+            return 1
+        print("recorded fingerprint verified by the log replay")
 
         status, dup = http_json("POST", f"{base}/jobs", {
             "label": "job0", "dataset": 0, "runtime": 1.0,
@@ -188,6 +202,10 @@ def main() -> int:
         print(f"  recovered: {recovered[:200]}...", file=sys.stderr)
         return 1
     print(f"recovery parity OK ({len(reference)} canonical bytes)")
+    if (data_dir / "snapshots").exists():
+        print("FAIL: the service wrote a snapshots/ directory; recovery "
+              "is log replay only", file=sys.stderr)
+        return 1
 
     # Backpressure: a worker-less service with a full queue must answer
     # 429 + Retry-After, never drop silently.

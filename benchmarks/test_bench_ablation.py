@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the simulator's main design choices.
 
 These go beyond the paper's figures: they quantify the impact of the main
 modelling decisions so that users extending the simulator know which knobs

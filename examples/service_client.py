@@ -6,9 +6,10 @@ directory, drives it the way any external client would — plain HTTP/JSON
 with the standard library — and demonstrates the robustness headline:
 
 * streaming submissions with idempotent tokens (safe retries),
+* a state fingerprint recorded in the log as a determinism audit,
 * a kill -9 of the worker process mid-run,
-* automatic restart + recovery from the latest snapshot and the durable
-  submission log (no acknowledged job is lost),
+* automatic restart + recovery by replaying the durable submission log,
+  which re-checks the recorded fingerprint (no acknowledged job is lost),
 * graceful drain with a final summary.
 
 Run it with::
@@ -29,7 +30,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.service import ServiceConfig, Supervisor
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 from repro.units import MB
 
 N_JOBS = 8
@@ -56,10 +57,7 @@ def main() -> None:
             input_size=64 * MB, chunk_size=32 * MB,
         ))
         supervisor = Supervisor(
-            ServiceConfig(
-                data_dir=data_dir, recipe=recipe, port=0,
-                snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
-            ),
+            ServiceConfig(data_dir=data_dir, recipe=recipe, port=0),
             max_restarts=3, backoff=0.1,
         ).start()
         try:
@@ -85,9 +83,15 @@ def main() -> None:
             print(f"  retried token -> {status} "
                   f"duplicate={dup.get('duplicate')}")
 
-            # Crash the worker mid-run; the supervisor restarts it and
-            # recovery replays the snapshot + submission log.
+            # Record the current state's fingerprint in the log: every
+            # replay of the log must reach the same state at that time.
             time.sleep(0.5)
+            status, record = call("POST", f"{base}/fingerprint")
+            print(f"  POST /fingerprint -> {status} t={record['t']:.2f} "
+                  f"{record['fingerprint'][:16]}...")
+
+            # Crash the worker mid-run; the supervisor restarts it and
+            # recovery replays the submission log.
             killed = supervisor.kill_worker()
             print(f"\nkill -9 worker pid {killed} ...")
             while supervisor.pid == killed or not supervisor.alive:
@@ -98,6 +102,8 @@ def main() -> None:
                   f"restarts {supervisor.restarts}, health {health}")
 
             status, metrics = call("GET", f"{base}/metrics")
+            verified = metrics["service"]["service.fingerprints_verified"]
+            print(f"fingerprints verified by the replay: {verified['']:.0f}")
             sim = metrics["sim"]
             print(f"\nmetrics: t={sim['now']:.2f}s "
                   f"submitted={sim['submitted']} "

@@ -23,9 +23,10 @@ Figure 8     simulation-time scaling                      ``exp5_scaling``
 ===========  ==========================================  =========================
 
 The "real execution" columns are produced by a calibrated reference
-simulator (see :mod:`repro.experiments.harness` and DESIGN.md §4): the same
-page-cache engine run at higher fidelity (asymmetric measured bandwidths,
-kernel idiosyncrasies such as eviction protection of files being written).
+simulator (see the ``"real"`` entry in :mod:`repro.experiments.harness`):
+the same page-cache engine run at higher fidelity (asymmetric measured
+bandwidths, kernel idiosyncrasies such as eviction protection of files
+being written).
 """
 
 from repro.experiments.calibration import (

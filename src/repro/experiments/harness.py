@@ -14,8 +14,8 @@ but configured differently:
     contention-oblivious storage model (no bandwidth sharing), only
     meaningful for single-threaded scenarios (Exp 1).
 ``"real"``
-    The calibrated reference standing in for the real cluster executions
-    (see DESIGN.md §4): the same page-cache engine at higher fidelity —
+    The calibrated reference standing in for the real cluster executions:
+    the same page-cache engine at higher fidelity —
     measured asymmetric bandwidths, eviction protection of files being
     written, dirty threshold computed against available memory.
 

@@ -29,9 +29,9 @@ queue and shuts the pool down cleanly before re-raising.
 
 The worker count resolves, in order: the explicit ``workers=`` argument,
 the ``REPRO_WORKERS`` environment variable (an integer, or ``auto`` for
-the CPU count), then ``1`` (inline, no subprocesses) — so existing serial
-callers and the parity suite are unaffected unless parallelism is asked
-for.
+the usable CPU count), then ``1`` (inline, no subprocesses) — so existing
+serial callers and the parity suite are unaffected unless parallelism is
+asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
-import shutil
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -227,21 +226,13 @@ class PointOptions:
         module-level ``_sleep``).
     checkpoint_dir:
         Directory of the sweep's crash-recovery state: finished point
-        values are cached here (a re-run sweep skips them), and with
-        ``snapshot_plan`` set, in-progress points keep their simulator
-        snapshots here.
-    snapshot_plan:
-        A :class:`~repro.snapshot.plan.SnapshotPlan`; points whose
-        experiment has a registered snapshot builder then run under
-        :func:`~repro.snapshot.run.run_checkpointed` and *resume from
-        their last snapshot* after a crash, a kill or a timeout retry.
+        values are cached here, and a re-run sweep skips them.
     """
 
     timeout: Optional[float] = None
     retries: int = 0
     retry_backoff: float = 0.5
     checkpoint_dir: Optional[str] = None
-    snapshot_plan: Optional[Any] = None
 
 
 _DEFAULT_OPTIONS = PointOptions()
@@ -250,7 +241,8 @@ _DEFAULT_OPTIONS = PointOptions()
 def resolve_workers(workers: Union[None, int, str] = None) -> int:
     """Resolve a worker count: argument, then ``REPRO_WORKERS``, then 1.
 
-    ``"auto"`` (argument or environment) means the machine's CPU count.
+    ``"auto"`` (argument or environment) means the CPUs this process may
+    run on: its affinity set where the OS has one, else the CPU count.
     """
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
@@ -259,6 +251,10 @@ def resolve_workers(workers: Union[None, int, str] = None) -> int:
         workers = env
     if isinstance(workers, str):
         if workers.lower() == "auto":
+            # os.cpu_count() counts the machine's CPUs, which
+            # oversubscribes a process pinned to fewer of them.
+            if hasattr(os, "sched_getaffinity"):
+                return max(1, len(os.sched_getaffinity(0)))
             return max(1, os.cpu_count() or 1)
         try:
             workers = int(workers)
@@ -385,7 +381,7 @@ def point_cache_key(spec: PointSpec, seed: Optional[int]) -> str:
     """Deterministic identity of one point: experiment + params + seed.
 
     The canonical-JSON hash is stable across processes and platforms, so
-    a resumed sweep recognizes its own cached values and snapshots.
+    a resumed sweep recognizes its own cached values.
     """
     from repro.snapshot.canonical import canonical_json
     import hashlib
@@ -400,10 +396,6 @@ def point_cache_key(spec: PointSpec, seed: Optional[int]) -> str:
 
 def _point_value_path(checkpoint_dir: str, key: str) -> Path:
     return Path(checkpoint_dir) / f"point-{key}.pkl"
-
-
-def _point_snapshot_dir(checkpoint_dir: str, key: str) -> Path:
-    return Path(checkpoint_dir) / f"run-{key}"
 
 
 def _load_cached_value(checkpoint_dir: str, key: str):
@@ -426,45 +418,6 @@ def _store_cached_value(checkpoint_dir: str, key: str, value) -> None:
     with open(tmp, "wb") as handle:
         pickle.dump(value, handle)
     os.replace(tmp, path)
-    # The value is final: the point's simulator snapshots are dead weight.
-    shutil.rmtree(_point_snapshot_dir(checkpoint_dir, key),
-                  ignore_errors=True)
-
-
-def _run_point_checkpointed(spec: PointSpec, kwargs: Dict[str, Any],
-                            options: PointOptions, key: str):
-    """Run one point under the snapshot machinery, resuming if possible."""
-    from repro.snapshot.recipe import SimRecipe, build_from_recipe, finish_point
-    from repro.snapshot.run import (
-        latest_snapshot,
-        restore_simulation,
-        run_checkpointed,
-    )
-
-    recipe = SimRecipe(spec.experiment, dict(kwargs))
-    directory = _point_snapshot_dir(options.checkpoint_dir, key)
-    newest = latest_snapshot(directory)
-    if newest is not None:
-        sim = restore_simulation(newest)
-    else:
-        sim = build_from_recipe(recipe)
-    result, _ = run_checkpointed(sim, options.snapshot_plan, directory)
-    return finish_point(recipe, result)
-
-
-def _run_point(spec: PointSpec, kwargs: Dict[str, Any],
-               options: PointOptions, seed: Optional[int]):
-    """One attempt of one point, honoring the snapshot options."""
-    if (options.snapshot_plan is not None
-            and options.checkpoint_dir is not None):
-        from repro.snapshot.recipe import BUILDERS
-
-        if spec.experiment in BUILDERS:
-            return _run_point_checkpointed(
-                spec, kwargs, options, point_cache_key(spec, seed)
-            )
-    fn = experiment_fn(spec.experiment)
-    return fn(**kwargs)
 
 
 def _execute_point(
@@ -478,8 +431,7 @@ def _execute_point(
     unpicklable) exceptions never poison the pool's result channel.
     Honors the payload's :class:`PointOptions`: each attempt runs under
     the wall-clock ``timeout``, failed attempts are retried up to
-    ``retries`` times with exponential backoff and the *identical* seed,
-    and checkpointed points resume from their last snapshot.
+    ``retries`` times with exponential backoff and the *identical* seed.
     """
     index, spec, seed, options = payload
     kwargs = spec.kwargs()
@@ -491,7 +443,7 @@ def _execute_point(
     for attempt in range(attempts):
         try:
             with _wall_clock_limit(options.timeout):
-                value = _run_point(spec, kwargs, options, seed)
+                value = experiment_fn(spec.experiment)(**kwargs)
         except KeyboardInterrupt:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported with the spec
@@ -576,9 +528,9 @@ def _run_pool(payloads, workers, progress, *,
     the whole :class:`ProcessPoolExecutor`, not just its own future.  The
     results already retrieved are kept; the pool is respawned (at most
     ``pool_respawns`` times) and only the still-unfinished points are
-    resubmitted — with per-point seeding and, when enabled, the snapshot
-    cache, the resubmitted points produce byte-identical values, so an
-    undisturbed sweep and a crashed-and-recovered one cannot differ.
+    resubmitted — with per-point seeding, the resubmitted points produce
+    byte-identical values, so an undisturbed sweep and a
+    crashed-and-recovered one cannot differ.
     """
     total = len(payloads)
     by_index = {payload[0]: payload[1] for payload in payloads}
@@ -666,7 +618,6 @@ def run_sweep(specs: Sequence[PointSpec], *,
               retry_backoff: float = 0.5,
               pool_respawns: int = 1,
               checkpoint_dir: Union[None, str, Path] = None,
-              snapshot_plan: Optional[Any] = None,
               ) -> List[PointResult]:
     """Execute every spec and return results in spec order.
 
@@ -677,7 +628,7 @@ def run_sweep(specs: Sequence[PointSpec], *,
     workers:
         Process count (``1`` = inline in this process, no pool).  ``None``
         resolves via ``REPRO_WORKERS`` (default 1); ``"auto"`` uses the
-        CPU count.
+        usable CPU count.
     base_seed:
         Base seed for specs carrying a ``seed_key`` (per-point seeds are
         derived, not shared, so results are worker-count independent).
@@ -702,11 +653,6 @@ def run_sweep(specs: Sequence[PointSpec], *,
         are cached here and skipped on a re-run, so a killed sweep
         re-invoked with the same directory completes with byte-identical
         outputs, computing only what is missing.
-    snapshot_plan:
-        A :class:`~repro.snapshot.plan.SnapshotPlan` (requires
-        ``checkpoint_dir``).  Points with a registered snapshot builder
-        then auto-snapshot at the plan's boundaries and resume from their
-        last snapshot after a crash or timeout retry.
 
     Returns
     -------
@@ -715,17 +661,12 @@ def run_sweep(specs: Sequence[PointSpec], *,
     byte-identical across worker counts.
     """
     specs = list(specs)
-    if snapshot_plan is not None and checkpoint_dir is None:
-        raise ConfigurationError(
-            "snapshot_plan requires checkpoint_dir (snapshots need a home)"
-        )
     options = PointOptions(
         timeout=timeout,
         retries=retries,
         retry_backoff=retry_backoff,
         checkpoint_dir=(None if checkpoint_dir is None
                         else str(checkpoint_dir)),
-        snapshot_plan=snapshot_plan,
     )
     payloads = _payloads(specs, base_seed, options)
     total = len(payloads)
@@ -781,8 +722,8 @@ def run_named_sweep(experiment: str, variants: Dict[Any, Dict[str, Any]], *,
     This is the shape of every comparison series (placements × one
     workload, policies × one trace, …): insertion order is preserved and
     the values come back matched to their keys for any worker count.
-    Robustness options (``timeout``, ``retries``, ``checkpoint_dir``,
-    ``snapshot_plan``, …) pass through to :func:`run_sweep`.
+    Robustness options (``timeout``, ``retries``, ``checkpoint_dir``, …)
+    pass through to :func:`run_sweep`.
     """
     keys = list(variants)
     values = sweep_values(

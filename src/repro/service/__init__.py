@@ -4,10 +4,10 @@ The long-lived counterpart of the batch experiment scripts: a
 :class:`~repro.service.core.SimulationService` feeds streaming job
 submissions into a :class:`~repro.scheduler.cluster.ClusterScheduler`,
 advancing the DES incrementally between arrivals; a stdlib HTTP/JSON API
-(:mod:`repro.service.http`) exposes submit/status/metrics/snapshot/drain
+(:mod:`repro.service.http`) exposes submit/status/metrics/fingerprint/drain
 with idempotent tokens and explicit backpressure; and a
-:class:`~repro.service.supervisor.Supervisor` restarts a crashed worker
-from the newest verified snapshot plus the durable submission log.
+:class:`~repro.service.supervisor.Supervisor` restarts a crashed worker,
+which recovers by replaying the durable submission log.
 
 Run one from the command line with ``python -m repro.service``.
 """

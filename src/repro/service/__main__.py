@@ -2,7 +2,7 @@
 
 Serves a streaming simulation cluster over HTTP, either directly (one
 process, exits on drain or crash) or under supervision
-(``--supervise``: restart-on-crash with snapshot + log recovery).
+(``--supervise``: restart-on-crash with submission-log recovery).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from repro.service.supervisor import ServiceConfig, Supervisor, worker_main
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve a streaming cluster simulation over HTTP/JSON.",
     )
     parser.add_argument("--data-dir", required=True,
-                        help="durable state directory (log, snapshots, "
+                        help="durable state directory (submission log, "
                              "recipe, result)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8754,
@@ -35,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--placement", default="cache")
     parser.add_argument("--queue-limit", type=int, default=64,
                         help="admission queue bound (backpressure beyond it)")
-    parser.add_argument("--snapshot-interval", type=float, default=2.0,
-                        help="simulated seconds between periodic snapshots "
-                             "(0 disables)")
-    parser.add_argument("--snapshot-keep", type=int, default=3)
     parser.add_argument("--supervise", action="store_true",
                         help="run under the restart-on-crash supervisor")
     parser.add_argument("--max-restarts", type=int, default=5)
@@ -46,10 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
-    plan = None
-    if args.snapshot_interval > 0:
-        plan = SnapshotPlan.fixed(args.snapshot_interval,
-                                  keep=max(1, args.snapshot_keep))
     recipe = SimRecipe("service-cluster", dict(
         n_nodes=args.nodes,
         cores_per_node=args.cores_per_node,
@@ -62,7 +54,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         recipe=recipe,
         host=args.host,
         port=args.port,
-        snapshot_plan=plan,
         queue_capacity=args.queue_limit,
     )
 

@@ -4,8 +4,7 @@
 :func:`repro.service.base.build_service_cluster`) behind a bounded
 admission queue.  Client threads submit job specs; a single worker thread
 owns the simulation and alternates between admitting queued submissions
-and advancing the DES with ``step_until`` — taking
-:class:`~repro.snapshot.plan.SnapshotPlan`-driven snapshots along the way.
+and advancing the DES with ``step_until``.
 
 Determinism contract
 --------------------
@@ -13,20 +12,21 @@ The durable submission log fully determines the results.  Every accepted
 operation is applied at a recorded *injection time* ``t`` (the service
 frontier, ``max(previous frontier, env.now)``) via the fixed procedure
 ``step_until(t); apply(op)``; replaying the log through the same
-procedure — from scratch or on top of a snapshot covering a prefix —
-reproduces the exact event sequence, so recovered runs are byte-identical
-to uninterrupted ones (:func:`replay_entries` is the reference
-implementation, and what the crash-recovery tests compare against).
+procedure reproduces the exact event sequence, so recovered runs are
+byte-identical to uninterrupted ones (:func:`replay_entries` is the
+reference implementation, and what the crash-recovery tests compare
+against).
 
 Recovery protocol
 -----------------
-On start, the service restores from the newest *verified* snapshot in its
-data directory: rebuild the recipe, replay the log prefix the snapshot
-covers (``applied_seq``), ``step_until`` to the snapshot time, check the
-fingerprint.  A snapshot that fails verification (or parsing) is skipped
-in favour of the next-newest; with no usable snapshot the whole log is
-replayed from scratch.  Entries past the snapshot's prefix — acknowledged
-submissions the snapshot never saw — are then replayed the ordinary way.
+On start, the service rebuilds the recipe and replays the whole log with
+:func:`replay_entries`.  The simulator is deterministic and restoring a
+snapshot would itself replay from ``t=0``, so log replay is the cheapest
+recovery there is.  Fingerprint entries recorded by
+:meth:`SimulationService.fingerprint_now` audit the replay: each one is
+recomputed at its ``t`` and a mismatch raises
+:class:`~repro.errors.SnapshotIntegrityError`, so a service whose log no
+longer reproduces its history refuses to start.
 """
 
 from __future__ import annotations
@@ -37,19 +37,20 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import (
     ConfigurationError,
     ServiceBackpressure,
     ServiceDraining,
     ServiceError,
-    SnapshotError,
+    SnapshotIntegrityError,
 )
 from repro.obs import MetricsRegistry
 from repro.scheduler.arrivals import SubmissionQueue
 from repro.service.log import (
     OP_CLOSE,
+    OP_FINGERPRINT,
     OP_SUBMIT,
     LogEntry,
     SubmissionLog,
@@ -57,25 +58,17 @@ from repro.service.log import (
 from repro.service.spec import JobSpec
 from repro.snapshot import (
     SimRecipe,
-    SnapshotPlan,
     build_from_recipe,
     canonical_json,
     capture_state,
     fingerprint,
-    read_snapshot_doc,
     to_jsonable,
-    write_snapshot_doc,
 )
-from repro.snapshot.store import FORMAT, VERSION
-
-#: Service snapshot file prefix (distinct from batch ``snap-`` files).
-SERVICE_SNAPSHOT_PREFIX = "svc"
 
 #: File names inside a service data directory.
 RECIPE_FILE = "recipe.json"
 LOG_FILE = "submissions.log"
 RESULT_FILE = "result.json"
-SNAPSHOT_DIR = "snapshots"
 
 
 # --------------------------------------------------------------------- replay
@@ -85,6 +78,8 @@ def apply_entry(sim, entry: LogEntry) -> None:
     The single procedure both the live path and every replay path share:
     ``step_until(entry.t)`` then the operation.  Sharing it is what makes
     recovery byte-identical — feeds happen at identical paused states.
+    A fingerprint entry only checks the paused state: it raises
+    :class:`~repro.errors.SnapshotIntegrityError` on a mismatch.
     """
     sim.step_until(entry.t)
     if entry.op == OP_SUBMIT:
@@ -101,6 +96,15 @@ def apply_entry(sim, entry: LogEntry) -> None:
         )
     elif entry.op == OP_CLOSE:
         sim.scheduler.close_stream()
+    elif entry.op == OP_FINGERPRINT:
+        replayed = fingerprint(to_jsonable(capture_state(sim)))
+        if replayed != entry.fingerprint:
+            raise SnapshotIntegrityError(
+                f"replayed state at seq {entry.seq} (t={entry.t}) has "
+                f"fingerprint {replayed}, the log recorded "
+                f"{entry.fingerprint} (corrupt log, different code version, "
+                "or lost determinism)"
+            )
     else:  # pragma: no cover - entries() already validates ops
         raise ServiceError(f"unknown log op {entry.op!r}")
 
@@ -149,24 +153,17 @@ class SimulationService:
     Parameters
     ----------
     data_dir:
-        Durable state: the recipe, the submission log, snapshots and the
-        final result all live here.  A service re-opened on an existing
-        directory recovers from it.
+        Durable state: the recipe, the submission log and the final
+        result all live here.  A service re-opened on an existing
+        directory recovers from it by replaying the log.
     recipe:
         Build recipe of the base simulation.  Required on first open
         (persisted to ``recipe.json``); on re-open it must be omitted or
         equal to the persisted one.
-    snapshot_plan:
-        Periodic checkpointing plan (simulated-time boundaries anchored
-        at t=0).  ``None`` disables periodic snapshots (crash recovery
-        then replays the full log).
     queue_capacity:
         Admission queue bound — the backpressure contract.
     request_timeout:
         Default seconds a :meth:`submit` caller waits for its ack.
-    verify:
-        Verify snapshot fingerprints on recovery (skipping unverifiable
-        snapshots).
     advance_slice:
         Wall-clock budget in seconds of one DES advance burst; keeps the
         worker responsive to new submissions.
@@ -174,20 +171,14 @@ class SimulationService:
 
     def __init__(self, data_dir: Union[str, Path], *,
                  recipe: Optional[SimRecipe] = None,
-                 snapshot_plan: Optional[SnapshotPlan] = None,
                  queue_capacity: int = 64,
                  request_timeout: float = 30.0,
-                 verify: bool = True,
                  advance_slice: float = 0.05,
                  poll_interval: float = 0.05):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.snapshot_dir = self.data_dir / SNAPSHOT_DIR
-        self.snapshot_dir.mkdir(exist_ok=True)
         self.recipe = self._load_or_persist_recipe(recipe)
-        self.plan = snapshot_plan
         self.request_timeout = float(request_timeout)
-        self.verify = bool(verify)
         self.advance_slice = float(advance_slice)
         self.poll_interval = float(poll_interval)
 
@@ -203,11 +194,6 @@ class SimulationService:
         self._closed = False
         self._tokens: Dict[str, Dict[str, Any]] = {}
         self._labels: set = set()
-        self._snap_index = 0
-        self._snap_paths: List[Path] = []
-        self._boundaries = None
-        self._next_boundary: Optional[float] = None
-        self._recovered_from: Optional[Path] = None
 
         self._drain_requested = threading.Event()
         self._drained = threading.Event()
@@ -257,31 +243,12 @@ class SimulationService:
 
     def _recover(self) -> None:
         entries = self.log.entries()
-        sim = None
-        skip_seq = 0
-        snapshots = sorted(
-            self.snapshot_dir.glob(f"{SERVICE_SNAPSHOT_PREFIX}-*.json"),
-            reverse=True,
-        )
-        if snapshots:
-            self._snap_paths = sorted(snapshots)
-            self._snap_index = max(
-                int(path.stem.split("-")[-1]) for path in snapshots
-            )
-        for path in snapshots:
-            try:
-                sim, skip_seq = self._restore_snapshot(path, entries)
-            except (SnapshotError, ValueError, KeyError, OSError):
-                continue
-            self._recovered_from = path
-            break
-        if sim is None:
-            sim = replay_entries(self.recipe, entries)
-        else:
-            for entry in entries[skip_seq:]:
-                apply_entry(sim, entry)
-        if entries or snapshots:
+        sim = replay_entries(self.recipe, entries)
+        if entries:
             self.registry.counter("service.recoveries").inc()
+            self.registry.counter("service.fingerprints_verified").inc(
+                sum(1 for entry in entries if entry.op == OP_FINGERPRINT)
+            )
 
         self._sim = sim
         self._next_seq = len(entries)
@@ -297,41 +264,10 @@ class SimulationService:
             if entry.token is not None:
                 self._tokens[entry.token] = ack
             self._labels.add(entry.spec["label"])
-        if self.plan is not None:
-            self._boundaries = self.plan.boundaries()
-            self._next_boundary = next(self._boundaries)
-            while self._next_boundary <= sim.env.now:
-                self._next_boundary = next(self._boundaries)
         if self._closed:
             # The previous lifetime was already draining; finish its
             # drain now so /result becomes available.
             self._finish_drain()
-
-    def _restore_snapshot(self, path: Path,
-                          entries: List[LogEntry]) -> Tuple[object, int]:
-        """Restore one service snapshot; raises if unusable."""
-        doc = read_snapshot_doc(path)
-        meta = doc.get("service")
-        if not isinstance(meta, dict):
-            raise SnapshotError(f"{path} is not a service snapshot")
-        applied = int(meta["applied_seq"])
-        if applied > len(entries):
-            raise SnapshotError(
-                f"{path} covers {applied} log entries but only "
-                f"{len(entries)} are durable"
-            )
-        sim = build_from_recipe(SimRecipe.decode(doc))
-        sim.step_until(0.0)
-        for entry in entries[:applied]:
-            apply_entry(sim, entry)
-        sim.step_until(doc["t"])
-        if self.verify:
-            replayed = fingerprint(to_jsonable(capture_state(sim)))
-            if replayed != doc["fingerprint"]:
-                raise SnapshotError(
-                    f"snapshot {path} failed fingerprint verification"
-                )
-        return sim, applied
 
     def stop(self, *, timeout: Optional[float] = None) -> None:
         """Request a graceful drain and wait for the worker to finish."""
@@ -382,7 +318,7 @@ class SimulationService:
                              else self.request_timeout)
 
     def request_drain(self) -> None:
-        """Ask the worker to drain: finish accepted jobs, snapshot, stop."""
+        """Ask the worker to drain: finish accepted jobs, stop."""
         self._drain_requested.set()
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -394,13 +330,33 @@ class SimulationService:
             raise ServiceError(f"the service worker crashed: {self._crashed!r}")
         return self.summary()
 
-    def snapshot_now(self) -> Dict[str, Any]:
-        """Take an out-of-band snapshot; returns its metadata."""
+    def fingerprint_now(self) -> Dict[str, Any]:
+        """Durably record the current state's fingerprint in the log.
+
+        Appends one fsync'd fingerprint entry; every later replay of the
+        log (recovery, :func:`replay_entries`) recomputes the fingerprint
+        at the entry's ``t`` and fails on a mismatch.  Returns the entry's
+        ``{"seq", "t", "fingerprint"}``.
+        """
         with self._lock:
             self._require_live()
-            path = self._write_snapshot()
-            return {"path": str(path), "t": self._sim.env.now,
-                    "applied_seq": self._next_seq}
+            if self._closed:
+                raise ServiceDraining(
+                    "the submission stream is closed; the drained result "
+                    "is audited by result.json instead"
+                )
+            t = max(self._frontier, self._sim.env.now)
+            self._sim.step_until(t)
+            entry = self.log.append(LogEntry(
+                seq=self._next_seq, op=OP_FINGERPRINT, t=t,
+                fingerprint=fingerprint(
+                    to_jsonable(capture_state(self._sim))
+                ),
+            ))
+            self._frontier = t
+            self._next_seq += 1
+            return {"seq": entry.seq, "t": t,
+                    "fingerprint": entry.fingerprint}
 
     def job_status(self, label: str) -> Dict[str, Any]:
         """The lifecycle state of one submitted job."""
@@ -450,7 +406,7 @@ class SimulationService:
                 "sim": {
                     "now": sim.env.now if sim is not None else 0.0,
                     "frontier": self._frontier,
-                    "submitted": self._next_seq,
+                    "submitted": len(self._labels),
                     "completed": (
                         len(scheduler.records) if scheduler is not None else 0
                     ),
@@ -476,10 +432,7 @@ class SimulationService:
             status = "draining"
         else:
             status = "ok"
-        return {"status": status,
-                "recovered_from": (
-                    str(self._recovered_from) if self._recovered_from else None
-                )}
+        return {"status": status}
 
     @property
     def ready(self) -> bool:
@@ -611,12 +564,11 @@ class SimulationService:
                     or scheduler._stream_arrivals)
 
     def _advance(self, wall_budget: float) -> None:
-        """Advance the DES within a wall-clock budget, snapshotting at
-        plan boundaries (lock held).
+        """Advance the DES within a wall-clock budget (lock held).
 
         Only advances while accepted jobs are outstanding: an idle open
         stream parks the simulated clock instead of racing it through
-        background-flusher ticks (and pointless snapshots) forever.
+        background-flusher ticks forever.
         """
         sim = self._sim
         env = sim.env
@@ -627,56 +579,14 @@ class SimulationService:
             peek = env.peek()
             if math.isinf(peek):
                 return
-            boundary = self._next_boundary
-            if boundary is not None and boundary <= peek:
-                sim.step_until(boundary)
-                self._write_snapshot()
-                self._next_boundary = next(self._boundaries)
-                continue
-            target = boundary if boundary is not None else peek + 1.0
-            sim.step_until(min(target, peek + 1.0))
-
-    def _write_snapshot(self) -> Path:
-        """One service snapshot: a batch snapshot doc plus service meta."""
-        sim = self._sim
-        state = to_jsonable(capture_state(sim))
-        doc = {
-            "format": FORMAT,
-            "version": VERSION,
-            "t": sim.env.now,
-            "experiment": self.recipe.experiment,
-            "params": self.recipe.encoded()["params"],
-            "fingerprint": fingerprint(state),
-            "state": state,
-            "service": {
-                "applied_seq": self._next_seq,
-                "frontier": self._frontier,
-                "closed": self._closed,
-            },
-        }
-        self._snap_index += 1
-        path = self.snapshot_dir / (
-            f"{SERVICE_SNAPSHOT_PREFIX}-{self._snap_index:08d}.json"
-        )
-        write_snapshot_doc(doc, path)
-        self._snap_paths.append(path)
-        keep = self.plan.keep if self.plan is not None else 2
-        while len(self._snap_paths) > keep:
-            stale = self._snap_paths.pop(0)
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-        self.registry.counter("service.snapshots_written").inc()
-        return path
+            sim.step_until(peek + 1.0)
 
     def _finish_drain(self) -> None:
-        """Run the closed stream to completion, snapshot, finalize."""
+        """Run the closed stream to completion, finalize."""
         if self._drained.is_set():
             return
         sim = self._sim
         sim.step_until(math.inf)
-        self._write_snapshot()
         self._result = sim.run()
         text = canonical_result(self._result)
         tmp = self.data_dir / (RESULT_FILE + ".tmp")

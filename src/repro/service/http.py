@@ -12,8 +12,9 @@ Routes (all JSON)::
     GET  /readyz     200 while accepting submissions, 503 otherwise.
     GET  /result     canonical result JSON (404 until drained).
     GET  /summary    small summary of the drained run (404 until drained).
-    POST /snapshot   take an out-of-band snapshot now.
-    POST /drain      graceful shutdown: drain jobs, final snapshot;
+    POST /fingerprint  record the state's fingerprint in the log; every
+                     replay of the log checks it.
+    POST /drain      graceful shutdown: drain jobs, write the result;
                      blocks until done and returns the summary.
 
 Built on ``http.server.ThreadingHTTPServer`` — per-request threads feed
@@ -135,8 +136,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             if path == "/jobs":
                 self._submit(service)
-            elif path == "/snapshot":
-                self._send_json(200, service.snapshot_now())
+            elif path == "/fingerprint":
+                self._send_json(200, service.fingerprint_now())
             elif path == "/drain":
                 body = self._read_body()
                 timeout = body.get("timeout")

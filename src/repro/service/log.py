@@ -5,13 +5,16 @@ it *fully determines* the simulation's results.  Every accepted operation
 — a job submission or the close of the submission stream — is appended as
 one JSON line and fsync'd **before** the client is acknowledged, so an
 acknowledged submission survives any crash.  Recovery replays the log
-(optionally on top of a snapshot that already covers a prefix of it) and
-reaches a byte-identical state.
+from scratch and reaches a byte-identical state.
 
 Each entry records the simulated *injection time* ``t`` at which the
 operation was applied to the paused simulation.  Injection times are
 non-decreasing; replay is simply ``step_until(t)`` followed by the
 operation, entry by entry.
+
+A third operation audits that determinism: a *fingerprint* entry records
+the SHA-256 of the simulator state captured at ``t``.  It changes nothing;
+every replay recomputes the fingerprint at ``t`` and checks it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.errors import SimulationError
 #: Log operations.
 OP_SUBMIT = "submit"
 OP_CLOSE = "close"
+OP_FINGERPRINT = "fingerprint"
 
 
 class SubmissionLogError(SimulationError):
@@ -35,13 +39,14 @@ class SubmissionLogError(SimulationError):
 
 @dataclass(frozen=True)
 class LogEntry:
-    """One durable operation: a submission or the stream close."""
+    """One durable operation: a submission, a fingerprint or the close."""
 
     seq: int
     op: str
     t: float
     token: Optional[str] = None
     spec: Optional[Dict[str, Any]] = None
+    fingerprint: Optional[str] = None
 
     def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"seq": self.seq, "op": self.op, "t": self.t}
@@ -49,6 +54,8 @@ class LogEntry:
             data["token"] = self.token
         if self.spec is not None:
             data["spec"] = self.spec
+        if self.fingerprint is not None:
+            data["fingerprint"] = self.fingerprint
         return data
 
     @classmethod
@@ -59,6 +66,7 @@ class LogEntry:
             t=float(data["t"]),
             token=data.get("token"),
             spec=data.get("spec"),
+            fingerprint=data.get("fingerprint"),
         )
 
 
@@ -133,9 +141,14 @@ class SubmissionLog:
                     f"{entry.t} < {previous_t}"
                 )
             previous_t = entry.t
-            if entry.op not in (OP_SUBMIT, OP_CLOSE):
+            if entry.op not in (OP_SUBMIT, OP_CLOSE, OP_FINGERPRINT):
                 raise SubmissionLogError(
                     f"unknown log op {entry.op!r} at seq {entry.seq}"
+                )
+            if entry.op == OP_FINGERPRINT and not isinstance(
+                    entry.fingerprint, str):
+                raise SubmissionLogError(
+                    f"fingerprint op at seq {entry.seq} has no fingerprint"
                 )
             if entry.op == OP_CLOSE and index != len(entries) - 1:
                 raise SubmissionLogError(

@@ -4,9 +4,10 @@ The :class:`Supervisor` runs the service (worker loop + HTTP server) in a
 forked child process and watches its exit code.  A clean drain exits 0
 and ends supervision; anything else — a SIGKILL, an ``os._exit``, an
 unhandled exception — triggers a restart, and the restarted worker
-recovers from the data directory: newest verified snapshot, submission
-log replay, resume serving.  Acknowledged submissions survive because
-their log entries were fsync'd before the ack.
+recovers from the data directory: it replays the submission log
+(checking any recorded fingerprints) and resumes serving.  Acknowledged
+submissions survive because their log entries were fsync'd before the
+ack.
 
 The child writes its bound HTTP port to ``<data_dir>/http.port`` once the
 server is listening (ports can change across restarts when ``port=0``);
@@ -20,14 +21,14 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.service.core import SimulationService
 from repro.service.http import make_server
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 
 #: The child's exit code for a crashed worker thread (sysexits EX_SOFTWARE).
 CRASH_EXIT_CODE = 70
@@ -47,21 +48,15 @@ class ServiceConfig:
     recipe: Optional[SimRecipe] = None
     host: str = "127.0.0.1"
     port: int = 0
-    snapshot_plan: Optional[SnapshotPlan] = field(
-        default_factory=lambda: SnapshotPlan.fixed(2.0, keep=3)
-    )
     queue_capacity: int = 64
     request_timeout: float = 30.0
-    verify: bool = True
 
     def build_service(self) -> SimulationService:
         return SimulationService(
             self.data_dir,
             recipe=self.recipe,
-            snapshot_plan=self.snapshot_plan,
             queue_capacity=self.queue_capacity,
             request_timeout=self.request_timeout,
-            verify=self.verify,
         )
 
 

@@ -1,12 +1,12 @@
-"""Checkpoint/restore of full simulator state.
+"""Snapshot/restore of full simulator state.
 
 Deterministic snapshots of a live simulation (``write_snapshot`` /
-``restore_simulation``), checkpoint-interval planning (``SnapshotPlan``
-with Young- and Daly-optimal intervals tuned against a fault plan's
-MTBF), and crash-recoverable execution (``run_checkpointed`` /
-``resume_checkpointed``).  The invariant throughout: a run snapshotted at
-``t=T`` and restored produces byte-identical results to the uninterrupted
-run.
+``restore_simulation``), the canonical state capture and fingerprint
+behind them (``capture_state`` / ``fingerprint``), and warm-start
+branching (``warm_start_values``).  The invariant throughout: a run
+snapshotted at ``t=T`` and restored produces byte-identical results to
+the uninterrupted run.  Restore replays the recipe from ``t=0``, so it
+costs as much as a fresh run to ``T``.
 """
 
 from repro.snapshot.canonical import (
@@ -16,12 +16,6 @@ from repro.snapshot.canonical import (
     to_jsonable,
 )
 from repro.snapshot.capture import capture_state
-from repro.snapshot.plan import (
-    SnapshotPlan,
-    daly_interval,
-    effective_mtbf,
-    young_interval,
-)
 from repro.snapshot.recipe import (
     BUILDERS,
     FINISHERS,
@@ -31,13 +25,8 @@ from repro.snapshot.recipe import (
 )
 from repro.snapshot.run import (
     LIVE_OVERRIDES,
-    SNAPSHOT_PREFIX,
     apply_live_overrides,
-    latest_snapshot,
     restore_simulation,
-    resume_checkpointed,
-    run_checkpointed,
-    snapshot_path,
     warm_start_values,
     write_snapshot,
 )
@@ -54,27 +43,18 @@ __all__ = [
     "FORMAT",
     "LIVE_OVERRIDES",
     "NONDETERMINISTIC_FIELDS",
-    "SNAPSHOT_PREFIX",
     "SimRecipe",
-    "SnapshotPlan",
     "VERSION",
     "apply_live_overrides",
     "build_from_recipe",
     "canonical_json",
     "capture_state",
-    "daly_interval",
-    "effective_mtbf",
     "fingerprint",
     "finish_point",
-    "latest_snapshot",
     "read_snapshot_doc",
     "restore_simulation",
-    "resume_checkpointed",
-    "run_checkpointed",
-    "snapshot_path",
     "to_jsonable",
     "warm_start_values",
     "write_snapshot",
     "write_snapshot_doc",
-    "young_interval",
 ]

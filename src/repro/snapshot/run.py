@@ -1,34 +1,31 @@
-"""Snapshot, restore and checkpointed execution of simulations.
+"""Snapshot, restore and warm starts of simulations.
 
-The crash-recovery contract, end to end:
+The snapshot contract, end to end:
 
 1. a run advances with :meth:`Simulation.step_until` and calls
-   :func:`write_snapshot` at each boundary — the file stores the build
-   recipe, the simulated time ``T`` and a fingerprint of the captured
-   state;
-2. after a crash, :func:`restore_simulation` rebuilds the simulation from
-   the recipe, *replays* it to ``T`` (generators cannot be pickled, but
-   the simulator is deterministic — replay reaches the exact same state)
-   and verifies the replayed fingerprint against the stored one;
+   :func:`write_snapshot` — the file stores the build recipe, the
+   simulated time ``T`` and a fingerprint of the captured state;
+2. :func:`restore_simulation` rebuilds the simulation from the recipe,
+   *replays* it to ``T`` (generators cannot be pickled, but the simulator
+   is deterministic — replay reaches the exact same state) and verifies
+   the replayed fingerprint against the stored one;
 3. the restored simulation continues exactly as the original would have:
    a run snapshotted at ``T`` and restored produces byte-identical results
    to the uninterrupted run.
 
-:func:`run_checkpointed` packages the loop — step to each boundary of a
-:class:`~repro.snapshot.plan.SnapshotPlan`, snapshot, prune old files,
-finish — and :func:`resume_checkpointed` restarts it from the newest
-snapshot in a directory.
+Because restore replays from ``t=0``, it costs as much as the history it
+restores: a snapshot is a determinism audit and a branch point for
+:func:`warm_start_values`, not a way to save work after a crash.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.snapshot.canonical import fingerprint, to_jsonable
 from repro.snapshot.capture import capture_state
-from repro.snapshot.plan import SnapshotPlan
 from repro.snapshot.recipe import SimRecipe, build_from_recipe
 from repro.snapshot.store import (
     FORMAT,
@@ -36,9 +33,6 @@ from repro.snapshot.store import (
     read_snapshot_doc,
     write_snapshot_doc,
 )
-
-#: Default snapshot file prefix; files sort lexicographically by boundary.
-SNAPSHOT_PREFIX = "snap"
 
 
 def write_snapshot(sim, path: Union[str, Path]) -> Path:
@@ -230,68 +224,3 @@ def warm_start_values(path: Union[str, Path], variants, *,
             )
         values.append(value)
     return values
-
-
-# -------------------------------------------------------------- checkpointing
-def snapshot_path(directory: Union[str, Path], boundary_index: int, *,
-                  prefix: str = SNAPSHOT_PREFIX) -> Path:
-    """The canonical file name for boundary ``k`` (zero-padded, sortable)."""
-    return Path(directory) / f"{prefix}-{boundary_index:08d}.json"
-
-
-def latest_snapshot(directory: Union[str, Path], *,
-                    prefix: str = SNAPSHOT_PREFIX) -> Optional[Path]:
-    """The newest snapshot file in ``directory``, or ``None``."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
-    candidates = sorted(directory.glob(f"{prefix}-*.json"))
-    return candidates[-1] if candidates else None
-
-
-def run_checkpointed(sim, plan: SnapshotPlan,
-                     directory: Union[str, Path], *,
-                     prefix: str = SNAPSHOT_PREFIX) -> Tuple[object, List[Path]]:
-    """Run ``sim`` to completion, snapshotting at every plan boundary.
-
-    Boundaries are anchored at ``t=0`` regardless of where ``sim``
-    currently is, so a restored simulation falls back onto the same
-    snapshot grid as the original run.  At most ``plan.keep`` snapshot
-    files are retained (oldest pruned first).  Returns the simulation
-    result and the snapshot paths still on disk.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = [
-        path for path in sorted(directory.glob(f"{prefix}-*.json"))
-    ]
-    for index, boundary in enumerate(plan.boundaries(), start=1):
-        if boundary <= sim.env.now:
-            continue
-        sim.step_until(boundary)
-        if sim.completed:
-            break
-        written.append(write_snapshot(sim, snapshot_path(
-            directory, index, prefix=prefix)))
-        while len(written) > plan.keep:
-            stale = written.pop(0)
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    result = sim.run()
-    return result, written
-
-
-def resume_checkpointed(directory: Union[str, Path], plan: SnapshotPlan, *,
-                        prefix: str = SNAPSHOT_PREFIX,
-                        verify: bool = True) -> Tuple[object, List[Path]]:
-    """Resume a crashed :func:`run_checkpointed` from its newest snapshot."""
-    newest = latest_snapshot(directory, prefix=prefix)
-    if newest is None:
-        raise SnapshotError(
-            f"no {prefix}-*.json snapshot found in {directory}; "
-            "nothing to resume"
-        )
-    sim = restore_simulation(newest, verify=verify)
-    return run_checkpointed(sim, plan, directory, prefix=prefix)

@@ -76,7 +76,6 @@ def run_parity_workload(seed: int = 2021, n_ops: int = 120, *,
                         memory_size: float = 4 * GB,
                         periodic_flushing: bool = True,
                         evict_from_active: bool = False,
-                        coalesce_extents=None,
                         eviction_policy=None,
                         ) -> List[Dict[str, object]]:
     """Run the seeded workload and return the per-operation state trace.
@@ -84,11 +83,6 @@ def run_parity_workload(seed: int = 2021, n_ops: int = 120, *,
     The memory is deliberately small relative to the working set so that
     reads and writes constantly trigger flushing and eviction (the code
     paths whose ordering the parity suite pins down).
-
-    ``coalesce_extents`` is forwarded to :class:`PageCacheConfig` when
-    given, exercising the deprecation shim: the extent cache coalesces
-    losslessly and unconditionally, so the flag must not change a single
-    byte of the trace.
 
     ``eviction_policy`` is forwarded when given (the default ``None``
     keeps the config construction identical to the pre-policy-API code):
@@ -99,8 +93,6 @@ def run_parity_workload(seed: int = 2021, n_ops: int = 120, *,
     memory = MemoryDevice.symmetric(env, "ram", 2000 * MBps, size=memory_size)
     disk = Disk.symmetric(env, "disk", 200 * MBps)
     config_kwargs = {}
-    if coalesce_extents is not None:
-        config_kwargs["coalesce_extents"] = coalesce_extents
     if eviction_policy is not None:
         config_kwargs["eviction_policy"] = eviction_policy
     config = PageCacheConfig(

@@ -117,10 +117,24 @@ class TestResolveWorkers:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert resolve_workers() == 3
 
-    def test_auto_uses_cpu_count(self):
+    def test_auto_uses_cpu_count(self, monkeypatch):
+        # Without an affinity API the machine's CPU count is all we know.
         import os
 
-        assert resolve_workers("auto") == max(1, os.cpu_count() or 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers("auto") == 6
+
+    def test_auto_counts_only_usable_cpus(self, monkeypatch):
+        # A process pinned to 2 of 16 CPUs must not start 16 workers.
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert resolve_workers("auto") == 2
+        monkeypatch.setenv("REPRO_WORKERS", "auto")
+        assert resolve_workers() == 2
 
     @pytest.mark.parametrize("bad", [0, -1, "zero"])
     def test_invalid_counts_rejected(self, bad):

@@ -38,36 +38,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             config.with_updates(dirty_ratio=2.0)
 
-    def test_coalesce_extents_is_a_deprecated_no_op(self):
-        # Existing experiment scripts passing the PR 3 knob keep working:
-        # the value is accepted, warned about and ignored (the extent
-        # cache coalesces losslessly and unconditionally).
-        with pytest.warns(DeprecationWarning, match="coalesce_extents"):
-            config = PageCacheConfig(coalesce_extents=True)
-        with pytest.warns(DeprecationWarning, match="coalesce_extents"):
-            PageCacheConfig(coalesce_extents=False)
-        assert config.validate() is None
-
-    def test_coalesce_extents_is_no_longer_a_field(self):
-        # The deprecation completed: the value is dropped at the door, so
-        # the config object carries no trace of it.
-        with pytest.warns(DeprecationWarning):
-            config = PageCacheConfig(coalesce_extents=True)
-        assert not hasattr(config, "coalesce_extents")
-        assert "coalesce_extents" not in PageCacheConfig.__dataclass_fields__
-
-    def test_coalesce_extents_warns_through_with_updates(self):
-        config = PageCacheConfig()
-        with pytest.warns(DeprecationWarning, match="coalesce_extents"):
-            updated = config.with_updates(coalesce_extents=True)
-        assert updated == config
-
-    def test_coalesce_extents_unset_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            PageCacheConfig()
 
     def test_eviction_policy_default_and_validation(self):
         assert PageCacheConfig().eviction_policy == "lru"

@@ -21,7 +21,9 @@ from repro.errors import (
     SchedulingError,
     ServiceBackpressure,
     ServiceDraining,
+    ServiceError,
     SnapshotError,
+    SnapshotIntegrityError,
 )
 from repro.scheduler.arrivals import SubmissionQueue
 from repro.service import (
@@ -33,10 +35,14 @@ from repro.service import (
     canonical_result,
     replay_result,
 )
-from repro.service.log import OP_CLOSE, OP_SUBMIT, SubmissionLogError
+from repro.service.log import (
+    OP_CLOSE,
+    OP_FINGERPRINT,
+    OP_SUBMIT,
+    SubmissionLogError,
+)
 from repro.snapshot import (
     SimRecipe,
-    SnapshotPlan,
     apply_live_overrides,
     restore_simulation,
     warm_start_values,
@@ -55,6 +61,11 @@ SMALL_RECIPE = SimRecipe("service-cluster", dict(SMALL_PARAMS))
 def small_service(tmp_path, **kwargs):
     kwargs.setdefault("recipe", SMALL_RECIPE)
     return SimulationService(tmp_path / "svc", **kwargs)
+
+
+def service_counter(service, name):
+    """The value of one unlabelled counter of a service's registry."""
+    return service.metrics()["service"].get(name, {}).get("", 0.0)
 
 
 def spec_dict(label, dataset=0, runtime=1.0, **extra):
@@ -276,13 +287,25 @@ class TestSubmissionLog:
         with pytest.raises(SubmissionLogError, match="not the final"):
             SubmissionLog(path).entries()
 
+    def test_fingerprint_entry_round_trips(self, tmp_path):
+        log = SubmissionLog(tmp_path / "s.log")
+        log.append(self.entry(0, op=OP_FINGERPRINT, fingerprint="ab" * 32))
+        entries = SubmissionLog(tmp_path / "s.log").entries()
+        assert entries[0].op == OP_FINGERPRINT
+        assert entries[0].fingerprint == "ab" * 32
+
+    def test_fingerprint_entry_requires_a_value(self, tmp_path):
+        path = tmp_path / "s.log"
+        SubmissionLog(path).append(self.entry(0))
+        SubmissionLog(path).append(self.entry(1, t=1.0, op=OP_FINGERPRINT))
+        with pytest.raises(SubmissionLogError, match="no fingerprint"):
+            SubmissionLog(path).entries()
+
 
 # ---------------------------------------------------------------- service
 class TestSimulationService:
     def test_submit_drain_and_replay_identical(self, tmp_path):
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(2.0, keep=3)
-        ).start()
+        service = small_service(tmp_path).start()
         acks = [
             service.submit(spec_dict(f"job{i}", dataset=i % 3,
                                      runtime=0.5 + 0.25 * i))
@@ -302,6 +325,8 @@ class TestSimulationService:
         # ... and the canonical result was durably written.
         on_disk = (service.data_dir / "result.json").read_text("utf-8")
         assert on_disk == reference
+        # Recovery replays the log: no snapshot is ever written.
+        assert not (service.data_dir / "snapshots").exists()
 
     def test_idempotent_token(self, tmp_path):
         service = small_service(tmp_path).start()
@@ -362,13 +387,21 @@ class TestSimulationService:
         assert service.health()["status"] == "drained"
         assert not service.ready
 
-    def test_snapshot_now(self, tmp_path):
+    def test_fingerprint_now(self, tmp_path):
         service = small_service(tmp_path).start()
         service.submit(spec_dict("j0"))
-        meta = service.snapshot_now()
-        assert meta["applied_seq"] == 1
-        assert (service.data_dir / "snapshots").glob("svc-*.json")
-        service.drain(timeout=60.0)
+        record = service.fingerprint_now()
+        assert record["seq"] == 1
+        entry = service.log.entries()[1]
+        assert entry.op == OP_FINGERPRINT
+        assert (entry.t, entry.fingerprint) == (record["t"],
+                                                record["fingerprint"])
+        # The entry takes a seq but is not a submission.
+        assert service.submit(spec_dict("j1"))["seq"] == 2
+        summary = service.drain(timeout=60.0)
+        assert summary["jobs_submitted"] == 2
+        with pytest.raises(ServiceError):
+            service.fingerprint_now()
 
     def test_recipe_mismatch_rejected(self, tmp_path):
         small_service(tmp_path)
@@ -391,12 +424,12 @@ class TestServiceRecovery:
         mid-run crash (copy-while-running) is covered below and the real
         SIGKILL in ``test_service_recovery.py``.
         """
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=3)
-        ).start()
+        service = small_service(tmp_path).start()
         for i in range(n_jobs):
             service.submit(spec_dict(f"job{i}", dataset=i % 3,
                                      runtime=0.5 + 0.5 * i))
+            if i == n_jobs // 2:
+                service.fingerprint_now()
         service.drain(timeout=60.0)
         return service.data_dir, service.canonical_result()
 
@@ -409,21 +442,56 @@ class TestServiceRecovery:
         assert recovered.canonical_result() == reference
         assert (data_dir / "result.json").read_text("utf-8") == reference
 
+    def test_recorded_fingerprint_is_verified_on_reopen(self, tmp_path):
+        data_dir, reference = self.run_and_abandon(tmp_path)
+        (data_dir / "result.json").unlink()
+        recovered = SimulationService(data_dir).start()
+        recovered.join(timeout=60.0)
+        assert service_counter(recovered, "service.recoveries") == 1
+        assert service_counter(recovered,
+                               "service.fingerprints_verified") == 1
+        assert recovered.canonical_result() == reference
+
+    def test_tampered_fingerprint_refuses_to_start(self, tmp_path):
+        data_dir, _ = self.run_and_abandon(tmp_path)
+        (data_dir / "result.json").unlink()
+        log_path = data_dir / "submissions.log"
+        lines = log_path.read_text("utf-8").splitlines()
+        tampered = []
+        for line in lines:
+            data = json.loads(line)
+            if data["op"] == OP_FINGERPRINT:
+                data["fingerprint"] = "0" * 64
+            tampered.append(json.dumps(data))
+        log_path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        with pytest.raises(SnapshotIntegrityError, match="fingerprint"):
+            SimulationService(data_dir).start()
+        assert not (data_dir / "result.json").exists()
+
+    def test_fingerprint_entries_do_not_change_the_replay(self, tmp_path):
+        data_dir, reference = self.run_and_abandon(tmp_path)
+        entries = SubmissionLog(data_dir / "submissions.log").entries()
+        assert any(e.op == OP_FINGERPRINT for e in entries)
+        without = [e for e in entries if e.op != OP_FINGERPRINT]
+        assert canonical_result(replay_result(SMALL_RECIPE, entries)) \
+            == reference
+        assert canonical_result(replay_result(SMALL_RECIPE, without)) \
+            == reference
+
     def test_midrun_copy_recovers_byte_identical(self, tmp_path):
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=5)
-        ).start()
+        service = small_service(tmp_path).start()
         for i in range(4):
             service.submit(spec_dict(f"job{i}", dataset=i % 3,
                                      runtime=1.0))
-        # Wait until the worker has advanced into the work (some
-        # snapshot exists), then copy the dir — a crash at an arbitrary
-        # moment, with jobs still in flight.
+        # Wait until the worker has advanced into the work, then copy
+        # the dir — a crash at an arbitrary moment, with jobs still in
+        # flight.
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if list((service.data_dir / "snapshots").glob("svc-*.json")):
+            if service.metrics()["sim"]["now"] > 0.0:
                 break
             time.sleep(0.01)
+        service.fingerprint_now()
         crashed_dir = tmp_path / "crashed-copy"
         shutil.copytree(service.data_dir, crashed_dir)
         service.drain(timeout=60.0)
@@ -435,41 +503,13 @@ class TestServiceRecovery:
             replay_result(SMALL_RECIPE, entries)
         )
         recovered = SimulationService(crashed_dir).start()
-        assert recovered._recovered_from is not None
+        assert service_counter(recovered, "service.recoveries") == 1
+        assert service_counter(recovered,
+                               "service.fingerprints_verified") == 1
         summary = recovered.drain(timeout=60.0)
         assert summary["jobs_completed"] == sum(
             1 for e in entries if e.op == OP_SUBMIT
         )
-        assert recovered.canonical_result() == reference
-
-    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=5)
-        ).start()
-        for i in range(3):
-            service.submit(spec_dict(f"job{i}", runtime=1.0))
-        service.drain(timeout=60.0)
-        reference = service.canonical_result()
-        (service.data_dir / "result.json").unlink()
-        snapshots = sorted(
-            (service.data_dir / "snapshots").glob("svc-*.json"))
-        assert snapshots
-        snapshots[-1].write_text("{ not json", encoding="utf-8")
-
-        recovered = SimulationService(service.data_dir).start()
-        recovered.join(timeout=60.0)
-        assert recovered.canonical_result() == reference
-        # New snapshots must not collide with surviving file names.
-        assert recovered._snap_index >= len(snapshots)
-
-    def test_all_snapshots_corrupt_replays_full_log(self, tmp_path):
-        data_dir, reference = self.run_and_abandon(tmp_path, n_jobs=3)
-        (data_dir / "result.json").unlink()
-        for path in (data_dir / "snapshots").glob("svc-*.json"):
-            path.write_text("garbage", encoding="utf-8")
-        recovered = SimulationService(data_dir).start()
-        recovered.join(timeout=60.0)
-        assert recovered._recovered_from is None
         assert recovered.canonical_result() == reference
 
 
@@ -479,8 +519,8 @@ class TestWarmStart:
 
     Warm starts need a recipe-complete workload — the snapshot's recipe
     must rebuild the *whole* submission history — so they use exp6, just
-    like ``run_exp10`` (service snapshots carry their history in the
-    submission log instead and recover through the service protocol).
+    like ``run_exp10`` (a service carries its history in the submission
+    log instead and recovers by replaying it).
     """
 
     EXP6 = dict(n_jobs=12, n_nodes=2, n_datasets=3, cores_per_node=8)

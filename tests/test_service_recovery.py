@@ -1,10 +1,10 @@
 """End-to-end crash recovery of the supervised service.
 
 The acceptance invariant of the service mode: a SIGKILLed worker is
-restarted by the supervisor, resumes from its latest verified snapshot,
-replays the durable submission log, loses **no acknowledged submission**
-— and the drained canonical result is byte-identical to what an
-uninterrupted run of the same submissions would have produced
+restarted by the supervisor, replays the durable submission log —
+verifying every fingerprint recorded in it — loses **no acknowledged
+submission**, and the drained canonical result is byte-identical to what
+an uninterrupted run of the same submissions would have produced
 (:func:`repro.service.replay_result` is the reference).  Backpressure is
 exercised over real HTTP: beyond the queue bound the server answers 429
 with a Retry-After header, never dropping the submission silently.
@@ -29,7 +29,7 @@ from repro.service import (
     make_server,
     replay_result,
 )
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 from repro.units import MB
 
 SMALL_PARAMS = dict(
@@ -79,7 +79,6 @@ class TestSupervisorRecovery:
             data_dir=data_dir,
             recipe=SMALL_RECIPE,
             port=0,
-            snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
             queue_capacity=16,
         )
         supervisor = Supervisor(config, max_restarts=3,
@@ -100,9 +99,13 @@ class TestSupervisorRecovery:
                 assert status == 201, ack
                 acks[f"tok-{i}"] = ack
 
-            # Let the worker advance into the jobs, then kill -9 it.
+            # Let the worker advance into the jobs, record the state's
+            # fingerprint, then kill -9 it.
             wait_until(lambda: http_json(
                 "GET", f"{base}/metrics")[1]["sim"]["now"] > 0.5)
+            status, recorded = http_json("POST", f"{base}/fingerprint")
+            assert status == 200, recorded
+            assert recorded["seq"] == 3
             killed_pid = supervisor.kill_worker()
 
             # The supervisor restarts the worker; it recovers from the
@@ -127,6 +130,11 @@ class TestSupervisorRecovery:
             port = wait_until(recovered_port)
             base = f"http://127.0.0.1:{port}"
             assert supervisor.restarts >= 1
+            # The restarted worker replayed the log and the recorded
+            # fingerprint matched (a mismatch would refuse to start).
+            counters = http_json("GET", f"{base}/metrics")[1]["service"]
+            assert counters["service.recoveries"][""] == 1
+            assert counters["service.fingerprints_verified"][""] == 1
 
             # An acknowledged pre-crash token is still known: the retry
             # is answered as a duplicate, not logged twice.
@@ -164,13 +172,13 @@ class TestSupervisorRecovery:
         reference = canonical_result(replay_result(SMALL_RECIPE, entries))
         on_disk = (data_dir / "result.json").read_text("utf-8")
         assert on_disk == reference
+        assert not (data_dir / "snapshots").exists()
 
     def test_graceful_stop_exits_zero(self, tmp_path):
         config = ServiceConfig(
             data_dir=tmp_path / "svc",
             recipe=SMALL_RECIPE,
             port=0,
-            snapshot_plan=None,
         )
         supervisor = Supervisor(config, backoff=0.05).start()
         port = supervisor.port()
