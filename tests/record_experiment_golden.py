@@ -3,7 +3,11 @@
 Captures the headline numbers (makespans, hit ratios, slowdowns) of cheap
 experiment configurations.  The committed file was recorded from the
 pre-refactor tree, so the parity suite certifies that the hot-path rewrite
-left every experiment output bit-identical (within float tolerance)::
+left every experiment output bit-identical (within float tolerance).
+The two extra NFS points (a writeback server, and the calibrated
+reference, which protects files being written from eviction) were
+recorded before the NFS service moved onto the shared read/write loops
+of the I/O Controller, with every older key kept as committed::
 
     PYTHONPATH=src:tests python tests/record_experiment_golden.py
 """
@@ -13,10 +17,48 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.exp2_concurrent import run_exp2
+from repro.apps.concurrent import make_instances, stage_and_submit_instances
+from repro.experiments.calibration import TABLE3_BANDWIDTHS
+from repro.experiments.exp2_concurrent import finish_exp2, run_exp2
 from repro.experiments.exp6_cluster import run_exp6
 from repro.experiments.exp7_trace_replay import run_exp7
-from repro.units import GB, MB
+from repro.pagecache.config import PageCacheConfig
+from repro.simulator.simulation import Simulation, SimulationConfig
+from repro.units import GB, GiB, MB
+
+
+def run_nfs_writeback(n_apps: int, *, input_size: float = 3 * GB,
+                      chunk_size: float = 100 * MB,
+                      memory_size: float = 16 * GiB):
+    """Exp 3's workload against a *writeback* NFS server cache.
+
+    The harness only builds the paper's writethrough NFS mount, so this
+    point is assembled from the public API.  The small server memory makes
+    the server flush synchronously, flush in the background and evict.
+    """
+    table = TABLE3_BANDWIDTHS
+    simulation = Simulation(config=SimulationConfig(
+        cache_mode="writeback",
+        page_cache=PageCacheConfig(chunk_size=chunk_size),
+        chunk_size=chunk_size,
+        trace_interval=None,
+    ))
+    simulation.create_cluster_platform(
+        compute_nodes=1,
+        memory_size=memory_size,
+        memory_bandwidth=table.memory.simulated,
+        local_disk_bandwidth=table.local_disk.simulated,
+        remote_disk_bandwidth=table.remote_disk.simulated,
+        network_bandwidth=table.network.simulated,
+        local_disk_capacity=float("inf"),
+        remote_disk_capacity=float("inf"),
+    )
+    storage = simulation.create_nfs_storage_service("storage1", "/export",
+                                                    cache_mode="writeback")
+    stage_and_submit_instances(simulation, make_instances(n_apps, input_size),
+                               host="node1", storage=storage,
+                               chunk_size=chunk_size)
+    return finish_exp2(simulation.run(), "wrench-cache", n_apps)
 
 
 def collect() -> dict:
@@ -35,6 +77,21 @@ def collect() -> dict:
         "makespan": exp2_nfs.makespan,
         "read_time": exp2_nfs.read_time,
         "write_time": exp2_nfs.write_time,
+    }
+    nfs_writeback = run_nfs_writeback(4)
+    golden["exp2_cache_nfs_writeback_4"] = {
+        "makespan": nfs_writeback.makespan,
+        "read_time": nfs_writeback.read_time,
+        "write_time": nfs_writeback.write_time,
+    }
+    # The calibrated reference protects files being written from eviction;
+    # 8 x 10 GB files overflow the server memory, so eviction happens.
+    real_nfs = run_exp2("real", 8, input_size=10 * GB, chunk_size=100 * MB,
+                        nfs=True)
+    golden["exp2_real_nfs_8"] = {
+        "makespan": real_nfs.makespan,
+        "read_time": real_nfs.read_time,
+        "write_time": real_nfs.write_time,
     }
 
     for placement in ("round-robin", "cache"):

@@ -116,6 +116,26 @@ class TestExperimentParity:
         assert point.read_time == pytest.approx(want["read_time"], rel=REL)
         assert point.write_time == pytest.approx(want["write_time"], rel=REL)
 
+    def test_exp2_nfs_writeback_server(self, experiment_golden):
+        from record_experiment_golden import run_nfs_writeback
+
+        point = run_nfs_writeback(4)
+        want = experiment_golden["exp2_cache_nfs_writeback_4"]
+        assert point.makespan == pytest.approx(want["makespan"], rel=REL)
+        assert point.read_time == pytest.approx(want["read_time"], rel=REL)
+        assert point.write_time == pytest.approx(want["write_time"], rel=REL)
+
+    def test_exp2_real_nfs(self, experiment_golden):
+        from repro.experiments.exp2_concurrent import run_exp2
+        from repro.units import GB, MB
+
+        point = run_exp2("real", 8, input_size=10 * GB, chunk_size=100 * MB,
+                         nfs=True)
+        want = experiment_golden["exp2_real_nfs_8"]
+        assert point.makespan == pytest.approx(want["makespan"], rel=REL)
+        assert point.read_time == pytest.approx(want["read_time"], rel=REL)
+        assert point.write_time == pytest.approx(want["write_time"], rel=REL)
+
     @pytest.mark.parametrize("placement", ["round-robin", "cache"])
     def test_exp6(self, experiment_golden, placement):
         from repro.experiments.exp6_cluster import run_exp6
