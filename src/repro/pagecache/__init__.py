@@ -21,8 +21,9 @@ The model follows Section III of the paper:
   eviction, cached I/O accounting, anonymous memory, and the periodical
   flush background thread (Algorithm 1).
 * :class:`~repro.pagecache.io_controller.IOController` — chunk-by-chunk
-  file reads (Algorithm 2) and writes (Algorithm 3) in writeback mode,
-  plus the writethrough write path.
+  file reads (Algorithm 2, ``read_file``) and writes (Algorithm 3,
+  ``write_file``, writeback or writethrough), one loop each, shared by
+  local and NFS storage.
 """
 
 from repro.pagecache.block import Block

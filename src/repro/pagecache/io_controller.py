@@ -1,16 +1,19 @@
 """The I/O Controller (Section III.B of the paper).
 
-Applications send chunk read and write requests to the I/O Controller,
-which orchestrates flushing, eviction, cache and disk accesses with the
-Memory Manager.  This module implements:
+Applications send file read and write requests to the I/O Controller,
+which splits them into chunks and orchestrates flushing, eviction, cache
+and disk accesses with the Memory Manager.  Each algorithm has exactly one
+implementation:
 
-* :meth:`IOController.read_chunk` — Algorithm 2 (chunked read, writeback
+* :meth:`IOController.read_file` — Algorithm 2 (chunked read, writeback
   or writethrough cache);
-* :meth:`IOController.write_chunk` — Algorithm 3 (chunked writeback write);
-* :meth:`IOController.write_chunk_through` — the writethrough write path;
-* :meth:`IOController.read_file` / :meth:`IOController.write_file` — the
-  chunk-by-chunk loops used by applications, which also keep track of the
-  per-operation elapsed time reported in the experiments.
+* :meth:`IOController.write_file` — Algorithm 3 (chunked writeback write),
+  or the writethrough write path with ``writethrough=True``.
+
+Both loops run on whichever host holds the cache.  Local storage calls
+them directly; the NFS storage service runs them on the server and passes
+a per-chunk ``hop`` that moves each chunk over the network.  Both also
+keep track of the per-operation elapsed time reported in the experiments.
 
 All public methods are simulation processes: ``yield`` them from a process
 (or wrap them with ``env.process``).
@@ -19,7 +22,7 @@ All public methods are simulation processes: ``yield`` them from a process
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Generator, Optional
 
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
@@ -27,6 +30,10 @@ from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.memory_manager import MemoryManager
 from repro.pagecache.tolerances import BYTE_EPSILON as _EPSILON
 from repro.platform.storage import StorageDevice
+
+#: A per-chunk hop: called with the chunk size, returns the simulation
+#: process that moves the chunk between the client and the cache's host.
+Hop = Callable[[float], Generator]
 
 
 @dataclass
@@ -65,9 +72,8 @@ class IOController:
     env:
         Simulation environment.
     memory_manager:
-        The Memory Manager of the host performing the I/O.  ``None`` is
-        allowed only for pure writethrough/direct usage where no cache is
-        simulated (the cacheless baseline bypasses the controller entirely).
+        The Memory Manager of the host holding the page cache; required
+        (the cacheless baseline bypasses the controller entirely).
     config:
         Page cache configuration; defaults to the memory manager's.
     """
@@ -80,134 +86,25 @@ class IOController:
         self.mm = memory_manager
         self.config = config or memory_manager.config
 
-    # -------------------------------------------------------------- chunk read
-    def read_chunk(self, filename: str, file_size: float, chunk_size: float,
-                   storage: StorageDevice, anonymous_owner: Optional[str] = None,
-                   use_anonymous_memory: bool = True):
-        """Algorithm 2: read one chunk of ``filename``.
-
-        Returns a ``(disk_read, cache_read)`` tuple with the bytes read from
-        storage and from the page cache respectively.
-        """
-        mm = self.mm
-        # Amount of the chunk that must come from storage: uncached data is
-        # read first (round-robin access assumption), so the uncached amount
-        # of the whole file bounds the storage read of this chunk.
-        uncached = max(0.0, file_size - mm.cached_amount(filename))
-        disk_read = min(chunk_size, uncached)
-        cache_read = chunk_size - disk_read
-
-        # Memory needed: one copy of the chunk in anonymous memory plus the
-        # newly cached data.
-        required_mem = (chunk_size if use_anonymous_memory else 0.0) + disk_read
-        flush_amount = required_mem - mm._free - mm.evictable
-        if flush_amount > 0:
-            yield from mm.flush(flush_amount, exclude_file=filename)
-        evict_amount = required_mem - mm._free
-        if evict_amount > 0:
-            mm.evict(evict_amount, exclude_file=filename)
-            still_needed = required_mem - mm._free
-            if still_needed > 0:
-                # Last resort when the file being read is the only evictable
-                # data (e.g. a file larger than the remaining memory streams
-                # through the cache): reclaim its own least recently used
-                # blocks, as the kernel does.
-                mm.evict(still_needed)
-
-        if disk_read > 0:
-            self.mm.stats.record_miss(filename, disk_read)
-            yield storage.read(disk_read, label=f"read:{filename}")
-            mm.add_to_cache(filename, disk_read, storage, dirty=False)
-        if cache_read > 0:
-            yield from mm.read_from_cache(filename, cache_read)
-
-        if use_anonymous_memory:
-            mm.use_anonymous_memory(chunk_size, owner=anonymous_owner)
-        mm.stats.read_ops += 1
-        return disk_read, cache_read
-
-    # ------------------------------------------------------------- chunk write
-    def write_chunk(self, filename: str, chunk_size: float,
-                    storage: StorageDevice):
-        """Algorithm 3: write one chunk of ``filename`` with a writeback cache.
-
-        Returns a ``(cache_written, flushed)`` tuple: bytes written to the
-        page cache (all of the chunk, eventually) and bytes of dirty data
-        flushed synchronously to make room for them.
-        """
-        mm = self.mm
-        total_flushed = 0.0
-        mem_amt = 0.0
-
-        remain_dirty = mm.dirty_capacity - mm.lists.dirty_size
-        if remain_dirty > 0:
-            # There is room below the dirty threshold: write to memory.
-            evict_amount = min(chunk_size, remain_dirty) - mm._free
-            if evict_amount > 0:
-                mm.evict(evict_amount, exclude_file=filename)
-            mem_amt = min(chunk_size, max(0.0, mm._free))
-            if mem_amt > 0:
-                yield from mm.write_to_cache(filename, mem_amt, storage)
-
-        remaining = chunk_size - mem_amt
-        while remaining > _EPSILON:
-            # Dirty threshold reached: flush, evict, then write the rest.
-            flushed = yield from mm.flush(chunk_size - mem_amt,
-                                          exclude_file=None)
-            total_flushed += flushed
-            evict_amount = chunk_size - mem_amt - mm._free
-            if evict_amount > 0:
-                mm.evict(evict_amount, exclude_file=filename)
-            to_cache = min(remaining, max(0.0, mm._free))
-            if to_cache <= _EPSILON:
-                # No progress is possible through the cache (e.g. dirty data
-                # of this very file fills memory): fall back to writing the
-                # remainder straight to storage so the simulation cannot
-                # deadlock.
-                yield storage.write(remaining, label=f"write:{filename}")
-                self.mm.stats.direct_write_bytes += remaining
-                remaining = 0.0
-                break
-            yield from mm.write_to_cache(filename, to_cache, storage)
-            remaining -= to_cache
-        mm.stats.write_ops += 1
-        return chunk_size - remaining, total_flushed
-
-    def write_chunk_through(self, filename: str, chunk_size: float,
-                            storage: StorageDevice):
-        """Writethrough write: synchronous storage write, then cache the data.
-
-        The data is written to storage at disk bandwidth; the cache is
-        evicted if needed and the written data is added to the page cache
-        (clean, since it is already persisted).
-        """
-        mm = self.mm
-        yield storage.write(chunk_size, label=f"wt-write:{filename}")
-        mm.stats.direct_write_bytes += chunk_size
-        evict_amount = chunk_size - mm.free_mem
-        if evict_amount > 0:
-            mm.evict(evict_amount, exclude_file=filename)
-        to_cache = min(chunk_size, max(0.0, mm.free_mem))
-        if to_cache > 0:
-            mm.add_to_cache(filename, to_cache, storage, dirty=False)
-        mm.stats.write_ops += 1
-        return to_cache
-
     # ---------------------------------------------------------------- file ops
     def read_file(self, filename: str, file_size: float, storage: StorageDevice,
                   chunk_size: Optional[float] = None,
                   anonymous_owner: Optional[str] = None,
-                  use_anonymous_memory: bool = True):
-        """Read a whole file chunk by chunk (round-robin page access).
+                  use_anonymous_memory: bool = True,
+                  hop: Optional[Hop] = None):
+        """Algorithm 2: read a whole file chunk by chunk.
 
-        Returns an :class:`IOResult`.
+        Returns an :class:`IOResult`.  Pages are accessed round-robin, so
+        the uncached data of the file is read first: each chunk comes from
+        storage for as much of it as the file has uncached, and from the
+        page cache for the rest.  Dirty data is flushed and clean data
+        evicted as needed to make room for the newly cached data and, with
+        ``use_anonymous_memory``, one copy of the chunk in the reader's
+        anonymous memory.
 
-        The loop body is the :meth:`read_chunk` algorithm specialized for
-        the whole-file case: running every chunk inside one generator
-        frame (with the synchronous cache halves of the Memory Manager
-        called directly) removes a per-chunk generator and two frame
-        switches from the simulator's hottest path.  Any behavioural
-        change here must be mirrored in :meth:`read_chunk`.
+        ``hop`` (internal; only the NFS service sets it) is called once per
+        chunk, after the chunk is read, and its process is run before the
+        next chunk starts.
         """
         chunk = chunk_size or self.config.chunk_size
         env = self.env
@@ -222,10 +119,10 @@ class IOController:
         remaining = file_size
         while remaining > _EPSILON:
             this_chunk = min(chunk, remaining)
-            # --- read_chunk, inlined ---
             uncached = max(0.0, file_size - mm.cached_amount(filename))
             disk_read = min(this_chunk, uncached)
             cache_read = this_chunk - disk_read
+            # Memory needed: the anonymous copy plus the newly cached data.
             required_mem = (this_chunk if use_anonymous_memory else 0.0) + disk_read
             flush_amount = required_mem - mm._free - mm.evictable
             if flush_amount > 0:
@@ -241,6 +138,10 @@ class IOController:
                 mm.evict(evict_amount, exclude_file=filename)
                 still_needed = required_mem - mm._free
                 if still_needed > 0:
+                    # Last resort when the file being read is the only
+                    # evictable data (e.g. a file larger than the remaining
+                    # memory streams through the cache): reclaim its own
+                    # least recently used blocks, as the kernel does.
                     mm.evict(still_needed)
             if disk_read > 0:
                 stats.record_miss(filename, disk_read)
@@ -253,7 +154,8 @@ class IOController:
             if use_anonymous_memory:
                 mm.use_anonymous_memory(this_chunk, owner=anonymous_owner)
             stats.read_ops += 1
-            # --- end read_chunk ---
+            if hop is not None:
+                yield from hop(this_chunk)
             storage_bytes += disk_read
             cache_bytes += cache_read
             chunks += 1
@@ -272,15 +174,19 @@ class IOController:
         return result
 
     def write_file(self, filename: str, file_size: float, storage: StorageDevice,
-                   chunk_size: Optional[float] = None, writethrough: bool = False):
-        """Write a whole file chunk by chunk.
+                   chunk_size: Optional[float] = None, writethrough: bool = False,
+                   hop: Optional[Hop] = None):
+        """Algorithm 3: write a whole file chunk by chunk.
 
-        Returns an :class:`IOResult`.  With ``writethrough=True`` the write
-        bypasses the writeback path and goes synchronously to storage.
+        Returns an :class:`IOResult`.  With a writeback cache each chunk is
+        written to memory while the dirty data stays below the dirty
+        threshold; beyond it, dirty data is flushed and clean data evicted
+        to make room.  With ``writethrough=True`` each chunk is written
+        synchronously to storage, then cached clean.  The file is marked as
+        being written for the duration of the operation.
 
-        As with :meth:`read_file`, the writeback loop body is
-        :meth:`write_chunk` specialized into this generator frame; any
-        behavioural change here must be mirrored there.
+        ``hop`` (internal; only the NFS service sets it) is called once per
+        chunk, before the chunk is written, and its process is run first.
         """
         chunk = chunk_size or self.config.chunk_size
         env = self.env
@@ -292,22 +198,32 @@ class IOController:
         storage_bytes = 0.0
         cache_bytes = 0.0
         remaining_file = file_size
-        self.mm.mark_file_being_written(filename)
+        mm.mark_file_being_written(filename)
         try:
             while remaining_file > _EPSILON:
                 this_chunk = min(chunk, remaining_file)
+                if hop is not None:
+                    yield from hop(this_chunk)
                 if writethrough:
-                    cached = yield from self.write_chunk_through(
-                        filename, this_chunk, storage
-                    )
+                    # Synchronous storage write, then cache the data (clean,
+                    # since it is already persisted).
+                    yield storage.write(this_chunk, label=f"wt-write:{filename}")
+                    stats.direct_write_bytes += this_chunk
+                    evict_amount = this_chunk - mm.free_mem
+                    if evict_amount > 0:
+                        mm.evict(evict_amount, exclude_file=filename)
+                    to_cache = min(this_chunk, max(0.0, mm.free_mem))
+                    if to_cache > 0:
+                        mm.add_to_cache(filename, to_cache, storage, dirty=False)
+                    stats.write_ops += 1
                     storage_bytes += this_chunk
-                    cache_bytes += cached
+                    cache_bytes += to_cache
                 else:
-                    # --- write_chunk, inlined ---
                     total_flushed = 0.0
                     mem_amt = 0.0
                     remain_dirty = mm.dirty_capacity - mm.lists.dirty_size
                     if remain_dirty > 0:
+                        # Room below the dirty threshold: write to memory.
                         evict_amount = min(this_chunk, remain_dirty) - mm._free
                         if evict_amount > 0:
                             mm.evict(evict_amount, exclude_file=filename)
@@ -318,6 +234,8 @@ class IOController:
                                                   label=mm._label_cache_write)
                     remaining = this_chunk - mem_amt
                     while remaining > _EPSILON:
+                        # Dirty threshold reached: flush, evict, then write
+                        # the rest.
                         per_device, flushed = mm.select_flush(
                             this_chunk - mem_amt, exclude_file=None
                         )
@@ -333,6 +251,10 @@ class IOController:
                             mm.evict(evict_amount, exclude_file=filename)
                         to_cache = min(remaining, max(0.0, mm._free))
                         if to_cache <= _EPSILON:
+                            # No progress is possible through the cache
+                            # (e.g. dirty data of this very file fills
+                            # memory): write the remainder straight to
+                            # storage so the simulation cannot deadlock.
                             yield storage.write(remaining,
                                                 label=f"write:{filename}")
                             stats.direct_write_bytes += remaining
@@ -343,13 +265,12 @@ class IOController:
                                               label=mm._label_cache_write)
                         remaining -= to_cache
                     stats.write_ops += 1
-                    # --- end write_chunk ---
                     cache_bytes += this_chunk - remaining
                     storage_bytes += total_flushed
                 chunks += 1
                 remaining_file -= this_chunk
         finally:
-            self.mm.unmark_file_being_written(filename)
+            mm.unmark_file_being_written(filename)
         result.storage_bytes = storage_bytes
         result.cache_bytes = cache_bytes
         result.chunks = chunks

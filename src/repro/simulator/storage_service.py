@@ -9,9 +9,9 @@ host.  Three flavours are provided:
 * :class:`PageCachedStorageService` — WRENCH-cache: local I/O goes through
   the host's Memory Manager and I/O Controller (writeback or writethrough);
 * :class:`NFSStorageService` — a remote storage service reached over the
-  network; the *server* maintains its own page cache (read cache enabled,
-  writethrough by default as in the paper's Exp 3), the client does not
-  cache.
+  network; the *server* runs the same I/O Controller loops on its own page
+  cache (writethrough by default, as in the paper's Exp 3) and each chunk
+  crosses the network; the client does not cache.
 
 All read/write methods are simulation processes returning an
 :class:`~repro.pagecache.io_controller.IOResult`.
@@ -24,16 +24,12 @@ from typing import Optional
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
-from repro.filesystem.nfs import NFSConfig
 from repro.pagecache.config import PageCacheConfig
-from repro.pagecache.io_controller import IOController, IOResult
+from repro.pagecache.io_controller import IOController
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.host import Host
 from repro.platform.network import Network
 from repro.platform.storage import Disk
-
-#: Accounting tolerance in bytes.
-_EPSILON = 1e-6
 
 
 class StorageService:
@@ -163,136 +159,99 @@ class PageCachedStorageService(StorageService):
 class NFSStorageService(StorageService):
     """A storage service on a remote host, accessed over the network.
 
-    Reads are served by the *server*: each chunk is read on the server
-    (hitting the server's page cache when possible) and then transferred
-    over the network to the client.  Writes are transferred to the server
-    and then written according to the server cache mode (writethrough in
-    the paper's Exp 3: the write is synchronous to the server disk and the
-    written data populates the server's read cache).
+    Exp 3 of the paper runs the synthetic application against a 50 GiB
+    NFS-mounted partition of a remote disk.  As is common in HPC
+    environments the mount is configured so that data loss cannot happen
+    on a client crash: there is no client write cache, the server cache is
+    writethrough, and read caches are enabled on both sides.  The model
+    simulates the server's cache, the one shared by all concurrent
+    application instances.  The client does not cache data, but its
+    anonymous memory is accounted when it has a memory manager.
 
-    The client does not cache data (``NFSConfig.client_read_cache`` /
-    ``client_write_cache`` are ignored by the model beyond validation, as
-    in the paper), but the client's anonymous memory is still accounted on
-    the client host when it has a memory manager.
+    Reads and writes run the I/O Controller's loops on the *server's* page
+    cache with a per-chunk network hop.  A read chunk is read on the server
+    (from its cache when possible), then transferred to the client.  A
+    written chunk is transferred to the server, then written there:
+    writethrough (synchronous to the server disk, and the data populates
+    the server's cache) or writeback.
+
+    Parameters
+    ----------
+    env, server_host, disk:
+        Location of the service.  The server must have a memory device.
+    network:
+        Network connecting the server and its clients.
+    cache_config:
+        Page cache tunables of the server's :class:`MemoryManager`, created
+        if the server does not already have one.
+    writethrough:
+        If true (the default, as in Exp 3), the server cache is
+        writethrough; otherwise writeback.
     """
 
     def __init__(self, env: Environment, server_host: Host, disk: Disk,
-                 network: Network, nfs_config: Optional[NFSConfig] = None,
+                 network: Network,
                  cache_config: Optional[PageCacheConfig] = None,
-                 name: Optional[str] = None):
+                 writethrough: bool = True, name: Optional[str] = None):
         super().__init__(env, server_host, disk,
                          name=name or f"nfs:{server_host.name}:{disk.name}")
-        self.network = network
-        self.nfs_config = nfs_config or NFSConfig.hpc_default()
-        self._server_has_cache = (
-            self.nfs_config.server_cache_mode != "none"
-            or self.nfs_config.server_read_cache
-        )
-        if self._server_has_cache:
-            if server_host.memory is None:
-                raise ConfigurationError(
-                    f"NFS server {server_host.name!r} has no memory device"
-                )
-            if server_host.memory_manager is None:
-                server_host.memory_manager = MemoryManager(
-                    env, server_host.memory, cache_config or PageCacheConfig(),
-                    name=f"{server_host.name}.mm",
-                )
-            self.memory_manager: Optional[MemoryManager] = server_host.memory_manager
-            self.io_controller: Optional[IOController] = IOController(
-                env, self.memory_manager
+        if server_host.memory is None:
+            raise ConfigurationError(
+                f"NFS server {server_host.name!r} has no memory device"
             )
-        else:
-            self.memory_manager = None
-            self.io_controller = None
+        if server_host.memory_manager is None:
+            server_host.memory_manager = MemoryManager(
+                env, server_host.memory, cache_config or PageCacheConfig(),
+                name=f"{server_host.name}.mm",
+            )
+        self.network = network
+        self.memory_manager: MemoryManager = server_host.memory_manager
+        self.io_controller = IOController(env, self.memory_manager)
+        self.writethrough = writethrough
 
     @property
     def cache_mode(self) -> str:  # type: ignore[override]
-        return self.nfs_config.server_cache_mode
+        return "writethrough" if self.writethrough else "writeback"
 
-    # ------------------------------------------------------------------ reads
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
                   owner: Optional[str] = None, chunk_size: Optional[float] = None,
                   use_anonymous_memory: bool = True):
         if reader_host is None:
             raise ConfigurationError("NFS reads require the reading host")
-        chunk = chunk_size or (
-            self.memory_manager.config.chunk_size
-            if self.memory_manager is not None
-            else PageCacheConfig().chunk_size
+        transfer = self.network.transfer
+        server, client = self.host.name, reader_host.name
+        label = f"nfs:{file.name}"
+        client_mm = reader_host.memory_manager if use_anonymous_memory else None
+
+        def hop(chunk: float):
+            yield transfer(server, client, chunk, label=label)
+            if client_mm is not None:
+                client_mm.use_anonymous_memory(chunk, owner=owner)
+
+        result = yield from self.io_controller.read_file(
+            file.name, file.size, self.disk, chunk_size=chunk_size,
+            use_anonymous_memory=False, hop=hop,
         )
-        start = self.env.now
-        result = IOResult(file.name, file.size, start, start)
-        remaining = file.size
-        client_mm = reader_host.memory_manager
-        while remaining > _EPSILON:
-            this_chunk = min(chunk, remaining)
-            if self.nfs_config.server_read_cache and self.io_controller is not None:
-                disk_read, cache_read = yield from self.io_controller.read_chunk(
-                    file.name,
-                    file.size,
-                    this_chunk,
-                    self.disk,
-                    use_anonymous_memory=False,
-                )
-                result.storage_bytes += disk_read
-                result.cache_bytes += cache_read
-            else:
-                yield self.disk.read(this_chunk, label=f"nfs-read:{file.name}")
-                result.storage_bytes += this_chunk
-            yield self.network.transfer(
-                self.host.name, reader_host.name, this_chunk,
-                label=f"nfs:{file.name}",
-            )
-            if use_anonymous_memory and client_mm is not None:
-                client_mm.use_anonymous_memory(this_chunk, owner=owner)
-            result.chunks += 1
-            remaining -= this_chunk
-        result.end_time = self.env.now
         return result
 
-    # ----------------------------------------------------------------- writes
     def write_file(self, file: File, *, writer_host: Optional[Host] = None,
                    owner: Optional[str] = None, chunk_size: Optional[float] = None):
         if writer_host is None:
             raise ConfigurationError("NFS writes require the writing host")
         self.disk.allocate(file.size)
-        chunk = chunk_size or (
-            self.memory_manager.config.chunk_size
-            if self.memory_manager is not None
-            else PageCacheConfig().chunk_size
+        transfer = self.network.transfer
+        client, server = writer_host.name, self.host.name
+        label = f"nfs:{file.name}"
+
+        def hop(chunk: float):
+            yield transfer(client, server, chunk, label=label)
+
+        result = yield from self.io_controller.write_file(
+            file.name, file.size, self.disk, chunk_size=chunk_size,
+            writethrough=self.writethrough, hop=hop,
         )
-        start = self.env.now
-        result = IOResult(file.name, file.size, start, start)
-        remaining = file.size
-        mode = self.nfs_config.server_cache_mode
-        while remaining > _EPSILON:
-            this_chunk = min(chunk, remaining)
-            yield self.network.transfer(
-                writer_host.name, self.host.name, this_chunk,
-                label=f"nfs:{file.name}",
-            )
-            if mode == "writethrough" and self.io_controller is not None:
-                cached = yield from self.io_controller.write_chunk_through(
-                    file.name, this_chunk, self.disk
-                )
-                result.storage_bytes += this_chunk
-                result.cache_bytes += cached
-            elif mode == "writeback" and self.io_controller is not None:
-                cache_written, flushed = yield from self.io_controller.write_chunk(
-                    file.name, this_chunk, self.disk
-                )
-                result.cache_bytes += cache_written
-                result.storage_bytes += flushed
-            else:
-                yield self.disk.write(this_chunk, label=f"nfs-write:{file.name}")
-                result.storage_bytes += this_chunk
-            result.chunks += 1
-            remaining -= this_chunk
-        result.end_time = self.env.now
         return result
 
     def delete_file(self, file: File) -> None:
         super().delete_file(file)
-        if self.memory_manager is not None:
-            self.memory_manager.invalidate_file(file.name)
+        self.memory_manager.invalidate_file(file.name)

@@ -31,47 +31,60 @@ class TestConstruction:
 
 
 class TestChunkReads:
+    """Algorithm 2 on one chunk: a file of exactly one chunk."""
+
     def test_uncached_chunk_reads_from_disk(self, small_setup, runner):
         env, mm, io, disk = small_setup
-        disk_read, cache_read = runner(
-            env, io.read_chunk("f", 1 * GB, 100 * MB, disk)
-        )
-        assert disk_read == 100 * MB
-        assert cache_read == 0
+        result = runner(env, io.read_file("f", 100 * MB, disk))
+        assert result.chunks == 1
+        assert result.storage_bytes == 100 * MB
+        assert result.cache_bytes == 0
         assert env.now == pytest.approx(1.0)  # 100 MB at 100 MBps
         assert mm.cached_amount("f") == 100 * MB
         assert mm.anonymous == 100 * MB
 
     def test_cached_chunk_reads_from_memory(self, small_setup, runner):
         env, mm, io, disk = small_setup
-        mm.add_to_cache("f", 1 * GB, disk)
-        disk_read, cache_read = runner(
-            env, io.read_chunk("f", 1 * GB, 100 * MB, disk)
-        )
-        assert disk_read == 0
-        assert cache_read == 100 * MB
+        mm.add_to_cache("f", 100 * MB, disk)
+        result = runner(env, io.read_file("f", 100 * MB, disk))
+        assert result.chunks == 1
+        assert result.storage_bytes == 0
+        assert result.cache_bytes == 100 * MB
         assert env.now == pytest.approx(0.1)  # 100 MB at 1000 MBps
 
     def test_partially_cached_file_reads_uncached_part_first(self, small_setup, runner):
         env, mm, io, disk = small_setup
         mm.add_to_cache("f", 0.9 * GB, disk)
-        # File is 1 GB, 0.9 GB cached: the first chunk must hit the disk for
-        # the remaining 0.1 GB only.
-        disk_read, cache_read = runner(
-            env, io.read_chunk("f", 1 * GB, 200 * MB, disk)
-        )
-        assert disk_read == pytest.approx(100 * MB)
-        assert cache_read == pytest.approx(100 * MB)
+        # File is 1 GB, 0.9 GB cached: the first 200 MB chunk must hit the
+        # disk for the remaining 0.1 GB only (1 s), then the cache for the
+        # other 100 MB of the chunk.
+        observed = {}
+
+        def observer(env):
+            yield env.timeout(0.5)
+            observed["miss"] = mm.stats.cache_miss_bytes
+            observed["hit"] = mm.stats.cache_hit_bytes
+
+        env.process(observer(env))
+        result = runner(env, io.read_file("f", 1 * GB, disk,
+                                          chunk_size=200 * MB))
+        assert observed["miss"] == pytest.approx(100 * MB)
+        assert observed["hit"] == 0
+        assert result.storage_bytes == pytest.approx(100 * MB)
+        assert result.cache_bytes == pytest.approx(900 * MB)
+        # 1 s disk + 0.1 s memory for the first chunk, 4 x 0.2 s after it.
+        assert result.elapsed == pytest.approx(1.9)
 
     def test_read_without_anonymous_memory(self, small_setup, runner):
         env, mm, io, disk = small_setup
-        runner(env, io.read_chunk("f", 1 * GB, 100 * MB, disk,
-                                  use_anonymous_memory=False))
+        runner(env, io.read_file("f", 100 * MB, disk,
+                                 use_anonymous_memory=False))
+        assert mm.cached_amount("f") == 100 * MB
         assert mm.anonymous == 0
 
     def test_read_records_statistics(self, small_setup, runner):
         env, mm, io, disk = small_setup
-        runner(env, io.read_chunk("f", 1 * GB, 100 * MB, disk))
+        runner(env, io.read_file("f", 100 * MB, disk))
         assert mm.stats.cache_miss_bytes == 100 * MB
         assert mm.stats.read_ops == 1
 
@@ -116,9 +129,10 @@ class TestFileReads:
 class TestChunkWrites:
     def test_write_below_dirty_threshold_goes_to_memory(self, small_setup, runner):
         env, mm, io, disk = small_setup
-        cache_written, flushed = runner(env, io.write_chunk("f", 100 * MB, disk))
-        assert cache_written == 100 * MB
-        assert flushed == 0
+        result = runner(env, io.write_file("f", 100 * MB, disk))
+        assert result.chunks == 1
+        assert result.cache_bytes == 100 * MB
+        assert result.storage_bytes == 0  # nothing flushed
         assert mm.dirty == 100 * MB
         assert env.now == pytest.approx(0.1)  # memory write only
         assert disk.bytes_written == 0

@@ -5,6 +5,7 @@ import pytest
 from repro import File, Simulation, SimulationConfig
 from repro.errors import ConfigurationError, SchedulingError
 from repro.pagecache.config import PageCacheConfig
+from repro.simulator.storage_service import NFSStorageService
 from repro.simulator.workflow import Task, Workflow, chain_workflow
 from repro.units import GB, GiB, MBps
 
@@ -202,6 +203,26 @@ class TestNFSSimulation:
         # The file written by task1 is in the server cache, so task2's read
         # avoids the server disk.
         assert result.duration_of("app_task2", "read") < 5.0
+
+    def _nfs_service(self, **kwargs):
+        sim = Simulation(config=quiet_config())
+        sim.create_cluster_platform(memory_size=16 * GiB)
+        return sim.create_nfs_storage_service("storage1", "/export", **kwargs)
+
+    def test_writeback_cache_mode_gives_writeback_server(self):
+        svc = self._nfs_service(cache_mode="writeback")
+        assert isinstance(svc, NFSStorageService)
+        assert svc.cache_mode == "writeback"
+
+    def test_paper_mount_is_writethrough_with_server_cache(self):
+        svc = self._nfs_service(cache_mode="writethrough")
+        assert isinstance(svc, NFSStorageService)
+        assert svc.cache_mode == "writethrough"
+        assert svc.memory_manager is svc.host.memory_manager
+
+    def test_unknown_cache_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            self._nfs_service(cache_mode="bogus")
 
 
 class TestMemoryTracing:

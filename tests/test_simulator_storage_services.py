@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.filesystem import File, NFSConfig
+from repro.filesystem import File
+from repro.obs import Observer
 from repro.pagecache.config import PageCacheConfig
 from repro.platform.host import Host
 from repro.platform.memory import MemoryDevice
@@ -182,14 +183,12 @@ class TestPageCachedStorageService:
 
 
 class TestNFSStorageService:
-    def _setup(self, env, nfs_config=None):
+    def _setup(self, env, **kwargs):
         server, server_disk = make_host(env, "server")
         client, _ = make_host(env, "client")
         network = make_network(env, "server", "client")
         service = NFSStorageService(
-            env, server, server_disk, network,
-            nfs_config=nfs_config or NFSConfig.hpc_default(),
-            cache_config=CACHE_OFF,
+            env, server, server_disk, network, cache_config=CACHE_OFF, **kwargs
         )
         return service, server, client
 
@@ -250,9 +249,7 @@ class TestNFSStorageService:
         assert server.memory_manager.cached_amount("f") == pytest.approx(1 * GB)
 
     def test_writeback_server_cache(self, env, runner):
-        service, server, client = self._setup(
-            env, nfs_config=NFSConfig(server_cache_mode="writeback")
-        )
+        service, server, client = self._setup(env, writethrough=False)
         file = File("f", 1 * GB)
 
         def scenario(env):
@@ -265,8 +262,65 @@ class TestNFSStorageService:
         assert server.memory_manager.dirty == pytest.approx(1 * GB)
 
     def test_cache_mode_property(self, env):
-        service, _, _ = self._setup(env)
+        service, _, _ = self._setup(env, writethrough=False)
+        assert service.cache_mode == "writeback"
+
+    def test_default_is_writethrough(self, env):
+        # The paper's Exp 3 mount: server writethrough, server read cache.
+        service, server, _ = self._setup(env)
+        assert service.writethrough is True
         assert service.cache_mode == "writethrough"
+        assert service.memory_manager is server.memory_manager
+
+    def test_requires_server_memory(self, env):
+        server, server_disk = make_host(env, "server", with_memory=False)
+        network = make_network(env, "server", "client")
+        with pytest.raises(ConfigurationError):
+            NFSStorageService(env, server, server_disk, network)
+
+    def test_write_marks_file_being_written_on_server(self, env, runner):
+        service, server, client = self._setup(env)
+        observed = {}
+
+        def observer(env):
+            yield env.timeout(0.5)
+            observed["during"] = "f" in server.memory_manager._files_being_written
+
+        def scenario(env):
+            yield from service.write_file(File("f", 1 * GB), writer_host=client)
+
+        env.process(observer(env))
+        runner(env, scenario(env))
+        assert observed["during"] is True
+        assert "f" not in server.memory_manager._files_being_written
+
+    def test_read_and_write_emit_one_io_span_each(self, env, runner):
+        service, server, client = self._setup(env)
+        observer = Observer()
+        env.observer = observer
+        staged = File("in", 1 * GB)
+        service.stage_file(staged)
+
+        def scenario(env):
+            yield from service.read_file(staged, reader_host=client)
+            yield from service.write_file(File("out", 1 * GB),
+                                          writer_host=client)
+
+        runner(env, scenario(env))
+        spans = [span for span in observer.spans if span.category == "io"]
+        assert [span.name for span in spans] == ["read:in", "write:out"]
+        read, write = spans
+        assert read.start == 0.0
+        assert read.end == pytest.approx(11.0)  # 10 s server disk + 1 s network
+        assert read.attrs["bytes"] == 1 * GB
+        assert read.attrs["storage_bytes"] == pytest.approx(1 * GB)
+        assert read.attrs["cache_bytes"] == 0
+        assert read.attrs["chunks"] == 10
+        assert write.attrs["bytes"] == 1 * GB
+        assert write.attrs["storage_bytes"] == pytest.approx(1 * GB)
+        assert write.attrs["cache_bytes"] == pytest.approx(1 * GB)
+        assert write.attrs["chunks"] == 10
+        assert write.attrs["writethrough"] is True
 
     def test_client_anonymous_memory_accounted(self, env, runner):
         service, server, client = self._setup(env)
