@@ -8,15 +8,16 @@ generators, composite events, and contention-aware shared resources.
 
 Typical usage::
 
-    from repro.des import Environment
+    from repro.des import Environment, Resource
 
-    def producer(env, store):
-        for i in range(3):
+    def worker(env, cores):
+        with (yield cores.request()):
             yield env.timeout(1.0)
-            yield store.put(i)
 
     env = Environment()
-    ...
+    cores = Resource(env, capacity=2)
+    for _ in range(3):
+        env.process(worker(env, cores))
     env.run()
 """
 
@@ -36,10 +37,6 @@ from repro.des.resources import (
     Resource,
     Request,
     Release,
-    PriorityResource,
-    Container,
-    Store,
-    Lock,
 )
 
 __all__ = [
@@ -57,8 +54,4 @@ __all__ = [
     "Resource",
     "Request",
     "Release",
-    "PriorityResource",
-    "Container",
-    "Store",
-    "Lock",
 ]

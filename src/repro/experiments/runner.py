@@ -213,8 +213,9 @@ class PointOptions:
     timeout:
         Wall-clock seconds one attempt of the point may run before being
         interrupted with :class:`PointTimeoutError` (``None`` = no limit).
-        Enforced with ``SIGALRM`` on a Unix main thread and with an
-        async-exception watchdog thread everywhere else.
+        Enforced on every thread by a watchdog thread that raises the
+        error asynchronously in the point's thread; a blocking C call is
+        only interrupted once it returns (simulation points make none).
     retries:
         Extra attempts after a failed one.  Every attempt runs with the
         *identical* derived seed and parameters — a retried point is a
@@ -296,51 +297,21 @@ def _describe_exception(exc: BaseException) -> Tuple[str, str, str]:
 def _wall_clock_limit(seconds: Optional[float]):
     """Interrupt the enclosed block after ``seconds`` of wall-clock time.
 
-    On a Unix main thread this uses ``SIGALRM``/``setitimer``.  Anywhere
-    else — a sweep driven from a worker thread, or a platform without
-    ``SIGALRM`` — it falls back to a watchdog thread that injects
-    :class:`PointTimeoutError` into the running thread via CPython's
-    ``PyThreadState_SetAsyncExc``, so the limit is enforced everywhere a
-    CPU-bound simulation can run.  If neither mechanism is available the
+    A watchdog thread injects :class:`PointTimeoutError` into the running
+    thread via CPython's ``PyThreadState_SetAsyncExc``, so one mechanism
+    covers the main thread, a sweep driven from a worker thread and a
+    pool worker alike.  The exception lands at the thread's next bytecode
+    boundary, which is exactly where a pure-Python simulation loop spends
+    its time; a blocking C call (a long ``sleep``, a socket read) is only
+    interrupted once it returns, and a simulation point makes none.  The
+    pending exception is cleared on exit in case the watchdog fired just
+    as the block finished.  Without ``PyThreadState_SetAsyncExc`` the
     limit raises :class:`~repro.errors.ConfigurationError` up front
     instead of silently running unbounded.
     """
     if seconds is None:
         yield
         return
-    import signal
-    import threading
-
-    if (hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()):
-
-        def _on_alarm(signum, frame):
-            raise PointTimeoutError(
-                f"point exceeded its wall-clock timeout of {seconds}s"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        return
-
-    with _async_exc_limit(seconds):
-        yield
-
-
-@contextmanager
-def _async_exc_limit(seconds: float):
-    """Watchdog-thread timeout for threads that cannot receive signals.
-
-    ``PyThreadState_SetAsyncExc`` schedules the exception at the target
-    thread's next bytecode boundary, which is exactly where a pure-Python
-    simulation loop spends its time.  The pending exception is cleared on
-    exit in case the watchdog fired just as the block finished.
-    """
     import ctypes
     import threading
 
@@ -348,9 +319,8 @@ def _async_exc_limit(seconds: float):
     set_async_exc = getattr(api, "PyThreadState_SetAsyncExc", None)
     if set_async_exc is None:
         raise ConfigurationError(
-            "timeout= needs SIGALRM on a Unix main thread or CPython's "
-            "PyThreadState_SetAsyncExc; neither is available here — run "
-            "the sweep from the main thread or drop the timeout"
+            "timeout= needs CPython's PyThreadState_SetAsyncExc, which is "
+            "not available here; drop the timeout"
         )
     target = ctypes.c_ulong(threading.get_ident())
     finished = threading.Event()

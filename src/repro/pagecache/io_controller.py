@@ -220,6 +220,7 @@ class IOController:
                     cache_bytes += to_cache
                 else:
                     total_flushed = 0.0
+                    direct = 0.0
                     mem_amt = 0.0
                     remain_dirty = mm.dirty_capacity - mm.lists.dirty_size
                     if remain_dirty > 0:
@@ -258,6 +259,7 @@ class IOController:
                             yield storage.write(remaining,
                                                 label=f"write:{filename}")
                             stats.direct_write_bytes += remaining
+                            direct = remaining
                             remaining = 0.0
                             break
                         mm.put_to_cache(filename, to_cache, storage)
@@ -265,8 +267,10 @@ class IOController:
                                               label=mm._label_cache_write)
                         remaining -= to_cache
                     stats.write_ops += 1
-                    cache_bytes += this_chunk - remaining
-                    storage_bytes += total_flushed
+                    # Bytes written straight to storage went to the
+                    # disk, not into the cache.
+                    cache_bytes += this_chunk - remaining - direct
+                    storage_bytes += total_flushed + direct
                 chunks += 1
                 remaining_file -= this_chunk
         finally:

@@ -200,12 +200,15 @@ class ClusterScheduler:
         (checkpoint-and-requeue redoes the work since the last
         checkpoint); forwarded to the workflow executors.
     streaming:
-        Accept submissions *while the simulation runs*: :meth:`feed` may
-        be called at any paused point and the main loop waits for new
-        work instead of terminating when it drains.  The run ends once
-        :meth:`close_stream` declares the submission stream over and all
-        accepted jobs completed.  Off by default — the batch loop is the
-        parity-pinned historical behaviour.
+        Leave the submission stream open until :meth:`close_stream`:
+        :meth:`feed` may then be called at any paused point of the run,
+        and the main loop waits for new work instead of terminating when
+        it drains.  Off by default: a batch scheduler is a stream that
+        :meth:`run` closes before its first pass, so jobs must be
+        submitted before the simulation starts.
+
+    Every job enters through :meth:`feed` (:meth:`submit` is the same
+    call) and every run goes through the one main loop, :meth:`run`.
     """
 
     def __init__(self, env: Environment, nodes: List[NodeState],
@@ -255,35 +258,51 @@ class ClusterScheduler:
         self.n_job_restarts = 0
         #: Fault mode keeps the scheduler alive when no node is currently
         #: available (all down / draining): instead of raising the stall
-        #: guard, the main loop also waits on a :meth:`kick` event that
-        #: fault and elasticity transitions trigger.  Enabled by the fault
-        #: injector; off by default so fault-free runs are byte-identical
-        #: to the pre-fault scheduler.
+        #: guard, the main loop also waits on the wake event, which fault
+        #: and elasticity transitions trigger through :meth:`kick`.
+        #: Enabled by the fault injector.
         self.fault_mode = False
-        self._kick: Optional[Event] = None
         #: Streaming mode (see the class docstring).
         self.streaming = bool(streaming)
         self._stream_closed = False
-        self._stream_event: Optional[Event] = None
-        #: Fed-but-not-yet-arrived jobs, a heap of (arrival_time, id, job).
-        self._stream_arrivals: List[Tuple[float, int, Job]] = []
+        #: The one wake event of the main loop (see :meth:`run`).
+        self._wake: Optional[Event] = None
+        #: Submitted-but-not-yet-arrived jobs, a heap of
+        #: (arrival_time, id, job).
+        self._arrivals: List[Tuple[float, int, Job]] = []
         self._labels: set = set()
         self._next_id = 0
         self._started = False
 
     # ------------------------------------------------------------ submission
     def submit(self, job: Job) -> Job:
-        """Register a job for execution; must be called before :meth:`run`."""
-        if self.streaming:
-            return self.feed(job)
-        if self._started:
+        """Register a job for execution; the same as :meth:`feed`."""
+        return self.feed(job)
+
+    def feed(self, job: Job) -> Job:
+        """Add a job to the submission stream.
+
+        Accepted until the stream closes: for a batch scheduler that is
+        when :meth:`run` starts, for a streaming one when
+        :meth:`close_stream` is called.  A streaming scheduler may thus be
+        fed at any *paused* point of the run (between
+        :meth:`Environment.step` calls — e.g. from a service loop that
+        drives the DES via ``step_until``).  An arrival time in the
+        simulated past is clamped to ``env.now``: a job cannot arrive
+        before the instant it was fed.
+        """
+        if self._stream_closed:
             raise SchedulingError(
-                "jobs must be submitted before the simulation starts"
+                "the submission stream is closed; no further jobs accepted"
             )
         self._validate(job)
         job.id = self._next_id
         self._next_id += 1
+        if self._started and job.arrival_time < self.env.now:
+            job.arrival_time = self.env.now
         self.jobs.append(job)
+        heapq.heappush(self._arrivals, (job.arrival_time, job.id, job))
+        self._trigger_wake()
         return job
 
     def _validate(self, job: Job) -> None:
@@ -302,55 +321,22 @@ class ClusterScheduler:
             )
         self._labels.add(job.label)
 
-    def feed(self, job: Job) -> Job:
-        """Submit a job to a streaming scheduler, possibly mid-run.
-
-        May be called before the simulation starts or at any *paused*
-        point afterwards (between :meth:`Environment.step` calls — e.g.
-        from a service loop that drives the DES via ``step_until``).  An
-        arrival time in the simulated past is clamped to ``env.now``: a
-        job cannot arrive before the instant it was fed.
-        """
-        if not self.streaming:
-            raise SchedulingError(
-                "feed() requires a streaming scheduler; use submit()"
-            )
-        if self._stream_closed:
-            raise SchedulingError(
-                "the submission stream is closed; no further jobs accepted"
-            )
-        self._validate(job)
-        job.id = self._next_id
-        self._next_id += 1
-        if self._started and job.arrival_time < self.env.now:
-            job.arrival_time = self.env.now
-        self.jobs.append(job)
-        heapq.heappush(
-            self._stream_arrivals, (job.arrival_time, job.id, job)
-        )
-        if self._started:
-            self._wake_stream()
-        return job
-
     def close_stream(self) -> None:
         """Declare the submission stream over.
 
-        The streaming main loop terminates once every already-accepted
-        job has completed; further :meth:`feed` calls raise.  Idempotent.
+        The main loop terminates once every already-accepted job has
+        completed; further :meth:`feed` calls raise.  Idempotent.
         """
-        if not self.streaming:
-            raise SchedulingError("close_stream() requires a streaming scheduler")
         if self._stream_closed:
             return
         self._stream_closed = True
-        if self._started:
-            self._wake_stream()
+        self._trigger_wake()
 
-    def _wake_stream(self) -> None:
-        """Wake the streaming main loop after a feed/close."""
-        event = self._stream_event
-        if event is not None and not event.triggered:
-            event.succeed()
+    def _trigger_wake(self) -> None:
+        """Wake the main loop if it is waiting on the wake event."""
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
     @property
     def total_cores(self) -> int:
@@ -370,92 +356,29 @@ class ClusterScheduler:
     def run(self):
         """Scheduler main loop; simulation process.
 
-        Event-driven: the loop wakes up on the next job arrival or on any
-        job completion, moves newly arrived jobs into the queue, and asks
-        the policy/placement pair for dispatch decisions until no further
-        job can start.
+        Event-driven: the loop wakes up on the next job arrival, on any
+        job completion or on the wake event, moves newly arrived jobs
+        into the queue, and asks the policy/placement pair for dispatch
+        decisions until no further job can start.  Arrivals are popped
+        from the :meth:`feed` heap in ``(arrival_time, id)`` order.
+
+        A batch scheduler closes its submission stream here, before the
+        first pass.  While the stream is open (streaming mode) or faults
+        are injected, the loop also waits on the wake event that
+        :meth:`feed`, :meth:`close_stream` and :meth:`kick` trigger, so an
+        idle open stream or a fully-down cluster does not end the run.
+        The loop exits once the stream is closed and every accepted job
+        finished.
         """
         self._started = True
-        if self.streaming:
-            yield from self._run_stream()
-            return
-        pending = sorted(self.jobs, key=lambda job: (job.arrival_time, job.id))
-        index = 0
+        if not self.streaming:
+            self._stream_closed = True
+        arrivals = self._arrivals
         # The timeout to the next arrival is reused across wake-ups (a
         # job completion must not schedule a duplicate timeout for the
-        # same arrival); processed conditions ignore late callbacks, so
+        # same arrival), keyed by the head job's id since a feed may
+        # change the head; processed conditions ignore late callbacks, so
         # sharing the event across any_of calls is safe.
-        arrival_timeout = None
-        arrival_index = -1
-
-        while index < len(pending) or self.queue or self._running_procs:
-            now = self.env.now
-            while index < len(pending) and pending[index].arrival_time <= now + _EPSILON:
-                self.queue.append(pending[index])
-                index += 1
-
-            self._dispatch()
-
-            observer = self.env.observer
-            if observer is not None:
-                observer.counter_sample(
-                    "scheduler.jobs", "scheduler", now,
-                    {"queued": len(self.queue),
-                     "running": len(self._running_procs)},
-                )
-
-            waits = list(self._running_procs.values())
-            if index < len(pending):
-                if arrival_index != index:
-                    arrival_timeout = self.env.timeout(
-                        max(0.0, pending[index].arrival_time - now)
-                    )
-                    arrival_index = index
-                waits.append(arrival_timeout)
-            if self.fault_mode:
-                # Under fault injection the scheduler can be left with
-                # queued jobs and nothing to wait on (every node down or
-                # draining).  fail/restore/drain/undrain transitions
-                # trigger the kick event, re-running the dispatch pass.
-                kick = self._kick
-                if kick is None or kick.triggered:
-                    kick = self._kick = Event(self.env)
-                waits.append(kick)
-            if not waits:
-                # Jobs are validated to fit on some node at submission, so
-                # an empty cluster with a non-empty queue is a logic error.
-                raise SchedulingError(
-                    f"scheduler stalled with {len(self.queue)} queued job(s)"
-                )
-            yield self.env.any_of(waits)
-
-            # Reap completed job processes.  The dict is only mutated
-            # after the scan, so no per-poll ``list(items())`` snapshot is
-            # needed; the (usually tiny) finished list is allocated only
-            # when something actually completed.
-            finished = None
-            for job_id, process in self._running_procs.items():
-                if process.is_alive:
-                    continue
-                if not process.ok:
-                    raise process.value
-                if finished is None:
-                    finished = []
-                finished.append(job_id)
-            if finished is not None:
-                for job_id in finished:
-                    del self._running_procs[job_id]
-
-    def _run_stream(self):
-        """Streaming main loop; simulation process.
-
-        Like the batch loop, but arrivals come from the :meth:`feed` heap
-        instead of a pre-sorted snapshot, and an open stream keeps the
-        loop alive even when it has nothing to do: it waits on a wake
-        event that :meth:`feed` / :meth:`close_stream` trigger.  The loop
-        exits once the stream is closed and every accepted job finished.
-        """
-        arrivals = self._stream_arrivals
         arrival_timeout = None
         arrival_id = -1
 
@@ -477,31 +400,31 @@ class ClusterScheduler:
 
             waits = list(self._running_procs.values())
             if arrivals:
-                # Reuse the timeout to the next arrival across wake-ups,
-                # keyed by the head job's id (a feed may change the head).
                 head_time, head_id, _ = arrivals[0]
                 if arrival_id != head_id:
                     arrival_timeout = self.env.timeout(max(0.0, head_time - now))
                     arrival_id = head_id
                 waits.append(arrival_timeout)
-            if self.fault_mode:
-                kick = self._kick
-                if kick is None or kick.triggered:
-                    kick = self._kick = Event(self.env)
-                waits.append(kick)
-            if not self._stream_closed:
-                wake = self._stream_event
+            if self.fault_mode or not self._stream_closed:
+                # The wake event is created only when it can be waited on
+                # and takes an event id only when triggered, so a
+                # fault-free batch run allocates no event id for it.
+                wake = self._wake
                 if wake is None or wake.triggered:
-                    wake = self._stream_event = Event(self.env)
+                    wake = self._wake = Event(self.env)
                 waits.append(wake)
             if not waits:
-                if self.queue:
-                    raise SchedulingError(
-                        f"scheduler stalled with {len(self.queue)} queued job(s)"
-                    )
-                break
+                # Jobs are validated to fit on some node at submission, so
+                # an empty cluster with a non-empty queue is a logic error.
+                raise SchedulingError(
+                    f"scheduler stalled with {len(self.queue)} queued job(s)"
+                )
             yield self.env.any_of(waits)
 
+            # Reap completed job processes.  The dict is only mutated
+            # after the scan, so no per-poll ``list(items())`` snapshot is
+            # needed; the (usually tiny) finished list is allocated only
+            # when something actually completed.
             finished = None
             for job_id, process in self._running_procs.items():
                 if process.is_alive:
@@ -587,9 +510,7 @@ class ClusterScheduler:
         elastic join): queued jobs may now fit where nothing fit before,
         and no arrival or completion is guaranteed to wake the loop.
         """
-        kick = self._kick
-        if kick is not None and not kick.triggered:
-            kick.succeed()
+        self._trigger_wake()
 
     def fail_node(self, name: str) -> List[Job]:
         """Crash a node: kill its jobs, mark it down, abort its transfers.

@@ -561,7 +561,7 @@ class SimulationService:
         """Whether any accepted job is still pending/queued/running."""
         scheduler = self._sim.scheduler
         return bool(scheduler._running_procs or scheduler.queue
-                    or scheduler._stream_arrivals)
+                    or scheduler._arrivals)
 
     def _advance(self, wall_budget: float) -> None:
         """Advance the DES within a wall-clock budget (lock held).

@@ -437,11 +437,12 @@ class Simulation:
         then submitted with :meth:`submit_job` and executed when
         :meth:`run` is called.
 
-        With ``streaming=True`` the scheduler accepts submissions while
-        the simulation runs (:meth:`submit_job` works at any paused
-        point) and the run only completes once
-        ``scheduler.close_stream()`` has been called — the mode
-        :mod:`repro.service` drives.
+        Every run is a job stream through the scheduler's one main loop.
+        By default the stream closes when the simulation starts, so jobs
+        must be submitted before it.  With ``streaming=True`` the stream
+        stays open: :meth:`submit_job` works at any paused point, and the
+        run only completes once ``scheduler.close_stream()`` has been
+        called — the mode :mod:`repro.service` drives.
         """
         from repro.scheduler.cluster import ClusterScheduler, NodeState
 

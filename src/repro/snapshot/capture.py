@@ -151,7 +151,7 @@ def _capture_scheduler(scheduler) -> Dict[str, Any]:
         data["stream"] = {
             "closed": bool(scheduler._stream_closed),
             "pending": sorted(
-                job_id for _, job_id, _ in scheduler._stream_arrivals
+                job_id for _, job_id, _ in scheduler._arrivals
             ),
         }
     return data

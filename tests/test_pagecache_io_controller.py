@@ -161,6 +161,26 @@ class TestChunkWrites:
         assert mm.stats.write_ops == 10
 
 
+    def test_direct_write_fallback_counts_storage_not_cache(self, env, runner):
+        # 1 GB of memory cannot hold a 3 GB file's dirty data: once the
+        # memory is full of this file's own dirty data, the rest goes
+        # straight to disk, and the result must say so.
+        memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=1 * GB)
+        disk = Disk.symmetric(env, "ssd", 100 * MBps)
+        config = PageCacheConfig(periodic_flushing=False, chunk_size=100 * MB)
+        mm = MemoryManager(env, memory, config)
+        io = IOController(env, mm)
+        result = runner(env, io.write_file("f", 3 * GB, disk))
+        assert mm.stats.direct_write_bytes == pytest.approx(2 * GB)
+        assert mm.cached_amount("f") == pytest.approx(1 * GB)
+        assert result.cache_bytes == pytest.approx(1 * GB)
+        assert result.storage_bytes == pytest.approx(3 * GB)
+        assert disk.bytes_written == pytest.approx(result.storage_bytes)
+        assert (result.cache_bytes + result.storage_bytes
+                == pytest.approx(3 * GB + mm.stats.flushed_bytes))
+        mm.assert_consistent()
+
+
 class TestWritethrough:
     def test_writethrough_pays_disk_bandwidth(self, small_setup, runner):
         env, mm, io, disk = small_setup

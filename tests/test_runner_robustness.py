@@ -53,11 +53,15 @@ class TestTimeout:
 
     def test_timer_is_cleared_after_the_point(self):
         import signal
+        import threading
 
         register_experiment("rt-quick", lambda **kw: 1)
         run_sweep([make_spec("rt-quick")], timeout=5.0)
-        # No pending real-timer may leak out of the sweep.
+        # Neither a real-timer nor the watchdog thread may leak out of
+        # the sweep.
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
+        assert not any(thread.name == "point-timeout-watchdog"
+                       for thread in threading.enumerate())
 
 
 # -------------------------------------------------------------- retries

@@ -77,7 +77,7 @@ class TestStreamingScheduler:
     def build(self):
         return build_service_cluster(**SMALL_PARAMS)
 
-    def test_feed_requires_streaming(self):
+    def test_batch_scheduler_closes_stream_at_start(self):
         from repro.scheduler.job import Job
         from repro.simulator.simulation import Simulation, SimulationConfig
         from repro.simulator.workflow import Workflow
@@ -86,10 +86,16 @@ class TestStreamingScheduler:
         sim.create_cluster_platform(2, cores_per_node=2,
                                     with_nfs_server=False)
         scheduler = sim.create_cluster_scheduler()
-        with pytest.raises(SchedulingError, match="streaming"):
-            scheduler.feed(Job(Workflow("j0")))
-        with pytest.raises(SchedulingError, match="streaming"):
-            scheduler.close_stream()
+        # Before the run starts, submit and feed are one path.
+        scheduler.submit(Job(Workflow("j0")))
+        scheduler.feed(Job(Workflow("j1")))
+        sim.step_until(0.0)
+        for add in (scheduler.submit, scheduler.feed):
+            with pytest.raises(SchedulingError, match="closed"):
+                add(Job(Workflow("late")))
+        scheduler.close_stream()  # already closed: a no-op
+        result = sim.run()
+        assert result.scheduler.n_jobs == 2
 
     def test_submit_delegates_to_feed_and_close_ends_run(self):
         sim = self.build()
@@ -133,6 +139,62 @@ class TestStreamingScheduler:
         sim.scheduler.close_stream()
         result = sim.run()
         assert result.scheduler.n_jobs == 0
+
+    @staticmethod
+    def _faulty_stream_run():
+        """Feed jobs around a crash and a repair of the only node.
+
+        The crash hits the first job; a second job is fed while the node
+        is down (nothing can run, only the wake event can resume the
+        loop), and two more after the repair, all with the stream open.
+        """
+        from repro.faults import FaultPlan, NodeFaultSpec
+
+        plan = FaultPlan(seed=3, node_faults=(NodeFaultSpec(
+            mtbf=1.0, mttr=4.0, first_failure_after=1.0, max_failures=1),))
+        sim = build_service_cluster(**dict(SMALL_PARAMS, n_nodes=1),
+                                    fault_plan=plan)
+        node = sim.scheduler.nodes[0]
+
+        def feed(label, runtime=1.0):
+            sim.submit_job(
+                JobSpec.from_dict(spec_dict(label, runtime=runtime))
+                .build_workflow(sim.service_datasets),
+                label=label,
+            )
+
+        feed("before", runtime=30.0)
+        # step_until returns the clock of the last event, so count the
+        # pause points separately; both loops are bounded by the plan.
+        t = 0.0
+        while node.up and t < 50.0:
+            t += 0.5
+            sim.step_until(t)
+        feed("while-down")
+        while not node.up and t < 100.0:
+            t += 0.5
+            sim.step_until(t)
+        sim.step_until(t + 1.0)
+        feed("after-0")
+        feed("after-1")
+        sim.scheduler.close_stream()
+        return sim.run()
+
+    def test_fault_plan_crash_and_repair_with_open_stream(self):
+        first = self._faulty_stream_run()
+        metrics = first.scheduler
+        assert metrics.n_jobs == 4
+        assert sorted(r.label for r in metrics.records) == [
+            "after-0", "after-1", "before", "while-down"]
+        assert metrics.n_node_failures == 1
+        assert metrics.n_job_restarts == 1
+        # The repair's kick, not the next feed, started the queued job
+        # (a feed clamps its arrival to the clock of the last event).
+        records = {r.label: r for r in metrics.records}
+        assert (records["while-down"].start_time
+                < records["after-0"].arrival_time)
+        second = self._faulty_stream_run()
+        assert canonical_result(second) == canonical_result(first)
 
     def test_duplicate_label_rejected(self):
         sim = self.build()
